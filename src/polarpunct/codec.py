@@ -250,10 +250,23 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 class _ListState:
     """Batched list-decoder state: arrays indexed (frame, path, position).
 
-    Per-depth LLR and partial-sum buffers hold the single active segment of
-    each depth, so a path permutation has to reorder every buffer. Locals
-    never survive across a leaf: everything is re-read from the registry,
-    which keeps views valid after the fancy-indexed path gathers.
+    ``p[d]`` holds the LLRs and ``c[d]`` the partial sums of the active
+    node at depth d (``c[d]`` only its left half until the node combines).
+    A buffer whose path axis has size 1 holds the same values on every
+    path: ``p[0]`` (the channel LLRs) always, and every buffer computed
+    before the first information leaf. Node kernels broadcast it, so that
+    part of the tree is computed once per frame, not once per path.
+
+    A path permutation ``src`` at an information leaf reorders no buffer.
+    It is composed into the pending path index of each buffer that will be
+    read again and has more than one path (``p[d]`` while the leaf lies in
+    the left half of its depth-d node, ``c[d]`` while it lies in the right
+    half). The buffer is gathered once, at that next read, which clears the
+    index; a buffer that will only be replaced gets no index. Buffers are
+    replaced, never written in place, so they may alias each other.
+
+    Decisions are not kept per path: each information leaf appends
+    ``(dec, src)`` to a history that is traced back once, at the end.
     """
 
     def __init__(self, w: np.ndarray, L: int, frozen: np.ndarray, f):
@@ -261,59 +274,80 @@ class _ListState:
         self.B, self.L, self.N = B, L, N
         self.n = N.bit_length() - 1
         self.f = f
-        self.p = [np.repeat(w[:, None, :], L, axis=1)]
-        self.c = [np.zeros((B, L, N), dtype=np.uint8)]
-        for d in range(1, self.n + 1):
-            self.p.append(np.zeros((B, L, N >> d)))
-            self.c.append(np.zeros((B, L, N >> d), dtype=np.uint8))
+        self.p: list[np.ndarray | None] = [w[:, None, :]] + [None] * self.n
+        self.c: list[np.ndarray | None] = [None] * (self.n + 1)
+        self.p_pending: list[np.ndarray | None] = [None] * (self.n + 1)
+        self.c_pending: list[np.ndarray | None] = [None] * (self.n + 1)
         self.frozen = frozen
         self.pm = np.full((B, L), np.inf)
         self.pm[:, 0] = 0.0
-        self.u = np.zeros((B, L, N), dtype=np.uint8)
+        self.history: list[tuple[np.ndarray, np.ndarray]] = []
+        self._src_dtype = np.min_scalar_type(L - 1)
         self._bidx = np.arange(B)[:, None]
+        self._zero = np.zeros((B, 1, 1), dtype=np.uint8)
 
     def run(self) -> None:
         self._rec(0, 0)
+
+    def _take(self, bufs: list, pending: list, d: int) -> np.ndarray:
+        if pending[d] is not None:
+            bufs[d] = bufs[d][self._bidx, pending[d]]
+            pending[d] = None
+        return bufs[d]
 
     def _rec(self, d: int, lo: int) -> None:
         if d == self.n:
             self._leaf(lo)
             return
         half = (self.N >> d) // 2
-        self.p[d + 1][...] = self.f(self.p[d][..., :half], self.p[d][..., half:])
+        p = self.p[d]
+        self.p[d + 1] = self.f(p[..., :half], p[..., half:])
         self._rec(d + 1, lo)
-        self.c[d][..., :half] = self.c[d + 1]
-        self.p[d + 1][...] = _g(self.p[d][..., :half], self.p[d][..., half:],
-                                self.c[d][..., :half])
+        self.c[d] = self.c[d + 1]
+        p = self._take(self.p, self.p_pending, d)
+        self.p[d + 1] = _g(p[..., :half], p[..., half:], self.c[d])
         self._rec(d + 1, lo + half)
-        self.c[d][..., half:] = self.c[d + 1]
-        self.c[d][..., :half] ^= self.c[d][..., half:]
+        right = self.c[d + 1]
+        left = self._take(self.c, self.c_pending, d) ^ right
+        self.c[d] = np.concatenate([left, np.broadcast_to(right, left.shape)], axis=-1)
 
     def _leaf(self, lo: int) -> None:
         llr = self.p[self.n][..., 0]
         if self.frozen[lo]:
             self.pm = self.pm + _softplus(-llr)
-            self.c[self.n][..., 0] = 0
+            self.c[self.n] = self._zero
             return
-        hard = llr < 0
+        hard = np.broadcast_to(llr < 0, self.pm.shape)
         mag = np.abs(llr)
         cand = np.concatenate([self.pm + _softplus(-mag), self.pm + _softplus(mag)], axis=1)
         order = np.argsort(cand, axis=1, kind="stable")[:, : self.L]
         src = order % self.L
         flip = (order >= self.L).astype(np.uint8)
-        self._permute(src)
-        dec = np.take_along_axis(hard, src, axis=1).astype(np.uint8) ^ flip
-        self.pm = np.take_along_axis(cand, order, axis=1)
-        self.u[..., lo] = dec
-        self.c[self.n][..., 0] = dec
+        self._defer(src, lo)
+        dec = hard[self._bidx, src].astype(np.uint8) ^ flip
+        self.pm = cand[self._bidx, order]
+        self.history.append((dec, src.astype(self._src_dtype)))
+        self.c[self.n] = dec[..., None]
 
-    def _permute(self, src: np.ndarray) -> None:
-        # p[0] holds identical channel LLRs on every path; skip it.
-        for d in range(1, self.n + 1):
-            self.p[d] = self.p[d][self._bidx, src]
-        for d in range(self.n + 1):
-            self.c[d] = self.c[d][self._bidx, src]
-        self.u = self.u[self._bidx, src]
+    def _defer(self, src: np.ndarray, lo: int) -> None:
+        # Depth n is not read again after its leaf.
+        for d in range(self.n):
+            if (lo >> (self.n - 1 - d)) & 1:
+                bufs, pending = self.c, self.c_pending
+            else:
+                bufs, pending = self.p, self.p_pending
+            if bufs[d].shape[1] > 1:
+                pending[d] = src if pending[d] is None else pending[d][self._bidx, src]
+
+    def payloads(self) -> np.ndarray:
+        """Information bits of every final path, (B, L, len(history))."""
+        out = np.empty((self.B, self.L, len(self.history)), dtype=np.uint8)
+        path = np.broadcast_to(np.arange(self.L), (self.B, self.L))
+        for k in range(len(self.history) - 1, -1, -1):
+            dec, src = self.history[k]
+            out[..., k] = dec[self._bidx, path]
+            path = src[self._bidx, path]
+        return out
 
 
 def scl_decode(llr, spec: PolarCodeSpec, list_size: int,
@@ -340,15 +374,15 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int,
     state = _ListState(w, list_size, _frozen_mask(spec), _minsum if min_sum else _boxplus)
     state.run()
 
+    payload = state.payloads()
     order = np.argsort(state.pm, axis=1, kind="stable")
     if crc is None:
         best = order[:, 0]
     else:
-        payload = extract_payload(state.u, spec)
         ok = crc_check_batch(payload.reshape(B * list_size, -1), crc).reshape(B, list_size)
         ok_sorted = np.take_along_axis(ok, order, axis=1)
         first_ok = np.argmax(ok_sorted, axis=1)
         pick = np.where(ok_sorted.any(axis=1), first_ok, 0)
         best = np.take_along_axis(order, pick[:, None], axis=1)[:, 0]
-    u_best = state.u[np.arange(B), best]
+    u_best = place_payload(payload[np.arange(B), best], spec)
     return u_best.reshape(batch_shape + (spec.size,))

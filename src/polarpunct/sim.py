@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -297,21 +298,30 @@ def result_csv(result: SimResult) -> str:
 
 
 def emit(result: SimResult, out_prefix: str, formats: tuple[str, ...] = ("json", "csv")) -> list[str]:
-    """Write the result as <prefix>.json and/or <prefix>.csv; returns the paths."""
+    """Write the result as <prefix>.json and/or <prefix>.csv; returns the paths.
+
+    Each file is written to a temporary file beside it and moved into place
+    with ``os.replace``, so a failed write leaves any earlier file whole.
+    """
     paths = []
     for fmt in formats:
         if fmt not in ("json", "csv"):
             raise ValueError(f"unknown format {fmt!r}")
         path = f"{out_prefix}.{fmt}"
+        tmp = f"{path}.{os.getpid()}.tmp"
         try:
-            with open(path, "w") as fh:
+            with open(tmp, "w") as fh:
                 if fmt == "json":
                     json.dump(result.to_json_dict(), fh, indent=2)
                     fh.write("\n")
                 else:
                     fh.write(result_csv(result))
+            os.replace(tmp, path)
         except OSError as exc:
             raise OSError(f"cannot write {path}: {exc}") from exc
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
         paths.append(path)
     return paths
 

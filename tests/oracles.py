@@ -11,7 +11,7 @@ from functools import reduce
 import numpy as np
 
 from polarpunct.bitops import bit_reverse
-from polarpunct.codec import crc_append, place_payload
+from polarpunct.codec import _boxplus, _g, _minsum, _softplus, crc_append, place_payload
 
 
 def generator_matrix(n: int) -> np.ndarray:
@@ -108,3 +108,104 @@ def ml_codeword_oracle(llr, spec, crc=None) -> np.ndarray:
         if like > best_like:
             best_like, best_u = like, u
     return best_u
+
+
+class _EagerListState:
+    """Batched list-decoder state: arrays indexed (frame, path, position).
+
+    Per-depth LLR and partial-sum buffers hold the single active segment of
+    each depth, so a path permutation has to reorder every buffer. Locals
+    never survive across a leaf: everything is re-read from the registry,
+    which keeps views valid after the fancy-indexed path gathers.
+    """
+
+    def __init__(self, w: np.ndarray, L: int, frozen: np.ndarray, f):
+        B, N = w.shape
+        self.B, self.L, self.N = B, L, N
+        self.n = N.bit_length() - 1
+        self.f = f
+        self.p = [np.repeat(w[:, None, :], L, axis=1)]
+        self.c = [np.zeros((B, L, N), dtype=np.uint8)]
+        for d in range(1, self.n + 1):
+            self.p.append(np.zeros((B, L, N >> d)))
+            self.c.append(np.zeros((B, L, N >> d), dtype=np.uint8))
+        self.frozen = frozen
+        self.pm = np.full((B, L), np.inf)
+        self.pm[:, 0] = 0.0
+        self.u = np.zeros((B, L, N), dtype=np.uint8)
+        self._bidx = np.arange(B)[:, None]
+
+    def run(self) -> None:
+        self._rec(0, 0)
+
+    def _rec(self, d: int, lo: int) -> None:
+        if d == self.n:
+            self._leaf(lo)
+            return
+        half = (self.N >> d) // 2
+        self.p[d + 1][...] = self.f(self.p[d][..., :half], self.p[d][..., half:])
+        self._rec(d + 1, lo)
+        self.c[d][..., :half] = self.c[d + 1]
+        self.p[d + 1][...] = _g(self.p[d][..., :half], self.p[d][..., half:],
+                                self.c[d][..., :half])
+        self._rec(d + 1, lo + half)
+        self.c[d][..., half:] = self.c[d + 1]
+        self.c[d][..., :half] ^= self.c[d][..., half:]
+
+    def _leaf(self, lo: int) -> None:
+        llr = self.p[self.n][..., 0]
+        if self.frozen[lo]:
+            self.pm = self.pm + _softplus(-llr)
+            self.c[self.n][..., 0] = 0
+            return
+        hard = llr < 0
+        mag = np.abs(llr)
+        cand = np.concatenate([self.pm + _softplus(-mag), self.pm + _softplus(mag)], axis=1)
+        order = np.argsort(cand, axis=1, kind="stable")[:, : self.L]
+        src = order % self.L
+        flip = (order >= self.L).astype(np.uint8)
+        self._permute(src)
+        dec = np.take_along_axis(hard, src, axis=1).astype(np.uint8) ^ flip
+        self.pm = np.take_along_axis(cand, order, axis=1)
+        self.u[..., lo] = dec
+        self.c[self.n][..., 0] = dec
+
+    def _permute(self, src: np.ndarray) -> None:
+        # p[0] holds identical channel LLRs on every path; skip it.
+        for d in range(1, self.n + 1):
+            self.p[d] = self.p[d][self._bidx, src]
+        for d in range(self.n + 1):
+            self.c[d] = self.c[d][self._bidx, src]
+        self.u = self.u[self._bidx, src]
+
+
+def scl_eager_reference(llr, spec, L, crc=None, min_sum=False) -> np.ndarray:
+    """CRC-aided SCL with eager path copies: every buffer is gathered at
+    every information leaf and the decisions ``u`` are carried per path.
+
+    This is the library's list decoder as it was before its path
+    bookkeeping became lazy. It shares only the node kernels (f, g and the
+    softplus metric update) with the library, so that path-metric ties
+    resolve on identical floats; bit reversal, the frozen mask, payload
+    extraction and the CRC check are its own.
+    """
+    n, N = spec.n, spec.size
+    llr = np.asarray(llr, dtype=np.float64)
+    batch_shape = llr.shape[:-1]
+    perm = np.array([bit_reverse(i, n) for i in range(N)] if n else [0], dtype=np.intp)
+    w = llr.reshape(-1, N)[:, perm]
+    B = w.shape[0]
+    frozen = np.ones(N, dtype=bool)
+    frozen[list(spec.info_set)] = False
+    state = _EagerListState(w, L, frozen, _minsum if min_sum else _boxplus)
+    state.run()
+    order = np.argsort(state.pm, axis=1, kind="stable")
+    best = order[:, 0].copy()
+    if crc is not None:
+        info = sorted(spec.info_set)
+        for b in range(B):
+            for j in order[b]:
+                if not any(crc_remainder_intdiv(state.u[b, j, info], crc.width, crc.poly)):
+                    best[b] = j
+                    break
+    return state.u[np.arange(B), best].reshape(batch_shape + (N,))

@@ -3,6 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from polarpunct.bitops import bit_reverse
 from polarpunct.codec import (
@@ -21,6 +24,7 @@ from polarpunct.codec import (
     scl_decode,
 )
 from polarpunct.construct import (
+    PolarCodeSpec,
     bec_bhattacharyya,
     ga_reliability,
     select_information_set,
@@ -30,6 +34,7 @@ from oracles import (
     crc_remainder_intdiv,
     generator_matrix,
     ml_codeword_oracle,
+    scl_eager_reference,
     sequential_bit_map_oracle,
 )
 
@@ -292,6 +297,35 @@ class TestSclDecode:
         b = scl_decode(llr, spec, 8, crc=CRC8_0X9B)
         assert np.array_equal(a, b)
 
+    def test_pruned_list_matches_eager_reference(self):
+        # Every list is shorter than 2**(k + crc_bits), so paths are pruned
+        # and cloned. Integer LLRs and exact zeros make path metrics tie
+        # exactly, which exercises the stable tie rule.
+        rng = np.random.default_rng(21)
+        for n in range(1, 8):
+            N = 1 << n
+            for crc in (None, CRC8_0X9B):
+                width = 0 if crc is None else crc.width
+                for L in (2, 3, 5, 8):
+                    count = max(N // 2, width + 1, L.bit_length())
+                    if count > N:
+                        continue
+                    assert L < 1 << count
+                    spec = select_information_set(ga_reliability(n, 0.0), count,
+                                                  crc_bits=width)
+                    payload = rng.integers(0, 2, (12, count - width), dtype=np.uint8)
+                    if crc is not None:
+                        payload = np.stack([crc_append(p, crc) for p in payload])
+                    x = encode(place_payload(payload, spec))
+                    noisy = (1.0 - 2.0 * x) * 1.5 + rng.normal(0, 1.5, x.shape)
+                    noisy[rng.random(x.shape) < 0.2] = 0.0
+                    integer = rng.integers(-2, 3, x.shape).astype(float)
+                    llr = np.concatenate([noisy, integer])
+                    for min_sum in (False, True):
+                        got = scl_decode(llr, spec, L, crc=crc, min_sum=min_sum)
+                        want = scl_eager_reference(llr, spec, L, crc=crc, min_sum=min_sum)
+                        assert np.array_equal(got, want), (n, L, crc, min_sum)
+
     def test_crc_rescues_frames_sc_loses(self):
         spec = select_information_set(ga_reliability(6, 1.0), 40, crc_bits=8)
         rng = np.random.default_rng(20)
@@ -303,3 +337,37 @@ class TestSclDecode:
         sc_err = (sc_decode(llr, spec) != u).any(axis=1).sum()
         scl_err = (scl_decode(llr, spec, 8, crc=CRC8_0X9B) != u).any(axis=1).sum()
         assert scl_err < sc_err
+
+
+@st.composite
+def _code_and_llrs(draw, crc_bits=0):
+    """A random information set at n <= 6 and up to 4 frames of LLRs with
+    exact zeros."""
+    n = draw(st.integers(crc_bits.bit_length(), 6))
+    N = 1 << n
+    info = draw(st.sets(st.integers(0, N - 1), min_size=crc_bits + (crc_bits > 0)))
+    spec = PolarCodeSpec(n=n, k=len(info) - crc_bits, crc_bits=crc_bits,
+                         info_set=tuple(sorted(info)),
+                         frozen_set=tuple(sorted(set(range(N)) - info)),
+                         construction="random")
+    values = st.one_of(st.just(0.0), st.integers(-3, 3).map(float),
+                       st.floats(-30.0, 30.0))
+    frames = draw(st.integers(1, 4))
+    return spec, draw(hnp.arrays(np.float64, (frames, N), elements=values))
+
+
+class TestSclProperties:
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(_code_and_llrs())
+    def test_list_one_equals_sc(self, case):
+        spec, llr = case
+        assert np.array_equal(scl_decode(llr, spec, 1), sc_decode(llr, spec))
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.one_of(_code_and_llrs(), _code_and_llrs(crc_bits=CRC8_0X9B.width)))
+    def test_batch_equals_frame_by_frame(self, case):
+        spec, llr = case
+        crc = CRC8_0X9B if spec.crc_bits else None
+        batch = scl_decode(llr, spec, 4, crc=crc)
+        alone = np.stack([scl_decode(frame, spec, 4, crc=crc) for frame in llr])
+        assert np.array_equal(batch, alone)

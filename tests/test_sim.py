@@ -190,3 +190,20 @@ class TestEmit:
         res = run_sweep(tiny_cfg(max_frames=100))
         with pytest.raises(ValueError):
             emit(res, "x", formats=("yaml",))
+
+    @pytest.mark.parametrize("error", [OSError("disk full"), RuntimeError("disk full")])
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, error):
+        res = run_sweep(tiny_cfg(max_frames=100))
+        old = tmp_path / "out.json"
+        old.write_bytes(b'{"earlier": "result"}\n')
+
+        def failing_dump(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        with pytest.raises(type(error), match="disk full") as info:
+            emit(res, str(tmp_path / "out"), formats=("json",))
+        if isinstance(error, OSError):
+            assert str(info.value).startswith(f"cannot write {old}: ")
+        assert old.read_bytes() == b'{"earlier": "result"}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
