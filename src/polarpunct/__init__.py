@@ -32,13 +32,7 @@ from .construct import (
     pw_reliability,
     select_information_set,
 )
-from .degrade import (
-    PropagationMap,
-    basic_map,
-    propagate,
-    propagate_puncture,
-    punctured_bit_channels,
-)
+from .degrade import PropagationMap, propagate, punctured_bit_channels
 from .puncture import (
     PatternComparison,
     PatternReport,
@@ -55,7 +49,7 @@ from .sim import PointResult, SimConfig, SimResult, emit, load_result, run_point
 __all__ = [
     "__version__",
     "binary_expand", "bit_reverse", "bit_reverse_set", "covers",
-    "basic_map", "propagate", "propagate_puncture", "punctured_bit_channels",
+    "propagate", "punctured_bit_channels",
     "PropagationMap",
     "ReliabilityProfile", "PolarCodeSpec", "DEFAULT_PW_BETA",
     "bec_bhattacharyya", "ga_reliability", "pw_reliability", "select_information_set",

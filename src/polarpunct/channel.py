@@ -52,8 +52,7 @@ def puncture_tx(x, pattern: PuncturePattern) -> np.ndarray:
     x = np.asarray(x)
     if x.shape[-1] != pattern.size:
         raise ValueError(f"codeword length {x.shape[-1]} != N = {pattern.size}")
-    keep = np.setdiff1d(np.arange(pattern.size), np.array(pattern.coded_set, dtype=np.intp))
-    return x[..., keep]
+    return x[..., pattern.kept_positions]
 
 
 def transmit(bits, cfg: ChannelConfig, rng) -> np.ndarray:
@@ -80,7 +79,6 @@ def depuncture_rx(rx_llr, pattern: PuncturePattern) -> np.ndarray:
     if rx_llr.shape[-1] != pattern.transmitted:
         raise ValueError(
             f"received length {rx_llr.shape[-1]} != N - Q = {pattern.transmitted}")
-    keep = np.setdiff1d(np.arange(pattern.size), np.array(pattern.coded_set, dtype=np.intp))
     out = np.zeros(rx_llr.shape[:-1] + (pattern.size,))
-    out[..., keep] = rx_llr
+    out[..., pattern.kept_positions] = rx_llr
     return out

@@ -43,23 +43,8 @@ def _write_json(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _build_profile(args) -> cons.ReliabilityProfile:
-    kind, _, val = args.construction.partition(":")
-    if kind == cons.BEC_EXACT:
-        if not val:
-            raise ValueError("bec construction needs an erasure probability, e.g. bec:0.5")
-        return cons.bec_bhattacharyya(args.n, float(val))
-    if kind == cons.GA:
-        if not val:
-            raise ValueError("ga construction needs a design Es/N0 in dB here, e.g. ga:1.0")
-        return cons.ga_reliability(args.n, float(val))
-    if kind == cons.PW:
-        return cons.pw_reliability(args.n, float(val) if val else cons.DEFAULT_PW_BETA)
-    raise ValueError(f"unknown construction {args.construction!r}")
-
-
 def _cmd_construct(args) -> int:
-    profile = _build_profile(args)
+    profile = cons.build_profile(args.construction, args.n)
     spec = cons.select_information_set(profile, args.k + args.crc, crc_bits=args.crc)
     payload = profile.to_json_dict()
     payload.update({"I": list(spec.info_set), "F": list(spec.frozen_set),
@@ -87,7 +72,7 @@ def _make_pattern(scheme: str, args, spec, profile):
 def _cmd_puncture(args) -> int:
     profile = spec = None
     if args.construction:
-        profile = _build_profile(args)
+        profile = cons.build_profile(args.construction, args.n)
         if args.k:
             spec = cons.select_information_set(profile, args.k + args.crc, crc_bits=args.crc)
 
@@ -119,7 +104,7 @@ def _cmd_propagate(args) -> int:
     if args.domain == "coded":
         from .bitops import bit_reverse_set
         indices = sorted(bit_reverse_set(indices, args.n))
-    pmap = degrade.propagate_puncture(indices, args.n)
+    pmap = degrade.propagate(indices, args.n)
     _write_json(pmap.to_json_dict(), args.out)
     return 0
 

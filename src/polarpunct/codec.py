@@ -25,7 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitops import bit_reverse
 from .construct import PolarCodeSpec
 
 LLR_SATURATION = 40.0
@@ -107,9 +106,13 @@ def crc_check_batch(bits: np.ndarray, poly: CrcPoly) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def bit_reversal_permutation(n: int) -> np.ndarray:
-    if n == 0:
-        return np.zeros(1, dtype=np.intp)
-    return np.array([bit_reverse(i, n) for i in range(1 << n)], dtype=np.intp)
+    """Index table of the n-bit reversal; read-only, as the cache shares it."""
+    idx = np.arange(1 << n, dtype=np.intp)
+    perm = np.zeros_like(idx)
+    for b in range(n):
+        perm |= ((idx >> b) & 1) << (n - 1 - b)
+    perm.setflags(write=False)
+    return perm
 
 
 def _check_block(x: np.ndarray) -> int:

@@ -252,6 +252,36 @@ def pw_reliability(n: int, beta: float = DEFAULT_PW_BETA) -> ReliabilityProfile:
     return ReliabilityProfile(n=n, method=PW, params={"beta": float(beta)}, metric=weights)
 
 
+def parse_construction(text: str, ga_snr_db: Optional[float] = None) -> tuple[str, float]:
+    """Method and parameter of a construction string ``bec:EPS | ga[:SNR] | pw[:BETA]``.
+
+    A bare ``ga`` takes the fallback design Es/N0 ``ga_snr_db`` and is
+    rejected when there is none; a bare ``pw`` takes ``DEFAULT_PW_BETA``.
+    """
+    method, _, value = text.partition(":")
+    if method not in (BEC_EXACT, GA, PW):
+        raise ValueError(f"unknown construction {text!r}; expected bec:EPS, ga[:SNR] or pw[:BETA]")
+    if value:
+        try:
+            return method, float(value)
+        except ValueError:
+            raise ValueError(f"construction parameter must be a number, got {text!r}") from None
+    if method == BEC_EXACT:
+        raise ValueError("bec construction needs an erasure probability, e.g. bec:0.5")
+    if method == GA:
+        if ga_snr_db is None:
+            raise ValueError("ga construction needs a design Es/N0 in dB here, e.g. ga:1.0")
+        return method, ga_snr_db
+    return method, DEFAULT_PW_BETA
+
+
+def build_profile(text: str, n: int, ga_snr_db: Optional[float] = None) -> ReliabilityProfile:
+    """Reliability profile of width ``n`` for a construction string (see :func:`parse_construction`)."""
+    method, param = parse_construction(text, ga_snr_db)
+    build = {BEC_EXACT: bec_bhattacharyya, GA: ga_reliability, PW: pw_reliability}[method]
+    return build(n, param)
+
+
 def select_information_set(profile: ReliabilityProfile, count: int,
                            crc_bits: int = 0) -> PolarCodeSpec:
     """Pick the ``count`` most reliable indices as the information set.

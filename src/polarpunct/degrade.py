@@ -18,26 +18,13 @@ information (zero LLR at the decoder).
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bitops import bit_reverse_set, check_index, check_width
-
-
-def basic_map(occupied: Iterable[int]) -> dict[int, int]:
-    """One pair step: map a nonempty subset of {0, 1} to its degraded image.
-
-    ``{0} -> {0}``, ``{1} -> {0}``, ``{0, 1} -> {0, 1}`` with 0 -> 0 and
-    1 -> 1. Returns the element pairing as a dict. Cardinality is preserved.
-    """
-    occ = frozenset(occupied)
-    if occ == frozenset({0}):
-        return {0: 0}
-    if occ == frozenset({1}):
-        return {1: 0}
-    if occ == frozenset({0, 1}):
-        return {0: 0, 1: 1}
-    raise ValueError(f"occupied must be a nonempty subset of {{0, 1}}, got {set(occupied)!r}")
 
 
 @dataclass(frozen=True)
@@ -73,42 +60,30 @@ class PropagationMap:
 
 
 def propagate(indices: Iterable[int], n: int) -> PropagationMap:
-    """Run the degradation process on a level-0 index set of width ``n``."""
+    """Run the degradation process on a level-0 index set of width ``n``.
+
+    Each level is one array step: a position keeps its place when its pair
+    partner is occupied and clears bit ``k`` otherwise. Occupancy is found
+    by binary search in the sorted positions, so no buffer of ``2**n``
+    entries is needed at any admitted width.
+    """
     check_width(n)
-    sources = sorted(set(indices))
+    sources = sorted({operator.index(i) for i in indices})
     for i in sources:
         check_index(i, n)
 
-    position = {s: s for s in sources}
+    position = np.array(sources, dtype=np.int64)
     levels = [tuple(sources)]
     for k in range(1, n + 1):
         bit = 1 << (n - k)
-        occupied = set(position.values())
-        moved: dict[int, int] = {}
-        for s, p in position.items():
-            lo = p & ~bit
-            pair_occupancy = set()
-            if lo in occupied:
-                pair_occupancy.add(0)
-            if (lo | bit) in occupied:
-                pair_occupancy.add(1)
-            mapping = basic_map(pair_occupancy)
-            moved[s] = lo | (mapping[1 if p & bit else 0] << (n - k))
-        position = moved
-        levels.append(tuple(position[s] for s in sources))
+        occupied = np.sort(position)
+        partner = position ^ bit
+        paired = occupied.take(np.searchsorted(occupied, partner), mode="clip") == partner
+        position = np.where(paired, position, position & ~bit)
+        levels.append(tuple(position.tolist()))
 
-    pairs = tuple((s, position[s]) for s in sources)
+    pairs = tuple(zip(sources, levels[-1]))
     return PropagationMap(n=n, pairs=pairs, levels=tuple(levels))
-
-
-def propagate_puncture(indices: Iterable[int], n: int) -> PropagationMap:
-    """Puncture propagation: identical mapping to :func:`propagate`.
-
-    ``indices`` is the source set in the bit-channel index domain; the coded
-    symbols actually dropped sit at its bit-reversed image. The destinations
-    are the bit channels rendered useless by the puncture.
-    """
-    return propagate(indices, n)
 
 
 def punctured_bit_channels(coded_positions: Iterable[int], n: int) -> frozenset[int]:
@@ -117,4 +92,4 @@ def punctured_bit_channels(coded_positions: Iterable[int], n: int) -> frozenset[
     Convenience wrapper: bit-reverses the coded positions into the source
     domain, then propagates.
     """
-    return propagate_puncture(bit_reverse_set(coded_positions, n), n).destinations
+    return propagate(bit_reverse_set(coded_positions, n), n).destinations

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .bitops import bit_reverse, bit_reverse_set
 from .construct import PolarCodeSpec, ReliabilityProfile
-from .degrade import propagate_puncture
+from .degrade import propagate
 
 QUP = "qup"
 WQP = "wqp"
@@ -44,6 +45,8 @@ class PuncturePattern:
     its bit-reversed image (the coded-symbol positions not transmitted) and
     ``destination_set`` the propagated set of punctured bit channels.
     ``pairs`` aligns each source with its destination.
+    ``kept_positions`` lists the transmitted coded positions in ascending
+    order; it is derived from ``coded_set`` and takes no part in equality.
     """
 
     scheme: str
@@ -64,6 +67,14 @@ class PuncturePattern:
     @property
     def transmitted(self) -> int:
         return self.size - self.q
+
+    @cached_property
+    def kept_positions(self) -> np.ndarray:
+        keep = np.ones(self.size, dtype=bool)
+        keep[list(self.coded_set)] = False
+        kept = np.flatnonzero(keep)
+        kept.setflags(write=False)
+        return kept
 
     def to_json_dict(self) -> dict:
         return {
@@ -112,7 +123,7 @@ class PatternComparison:
 
 def _pattern_from_source(source: Iterable[int], n: int, scheme: str) -> PuncturePattern:
     src = tuple(sorted(set(source)))
-    prop = propagate_puncture(src, n)
+    prop = propagate(src, n)
     coded = tuple(sorted(bit_reverse(i, n) for i in src))
     dest = tuple(sorted(prop.destinations))
     return PuncturePattern(scheme=scheme, n=n, source_set=src, coded_set=coded,
@@ -130,23 +141,26 @@ def qup_pattern(n: int, q: int) -> PuncturePattern:
 def wqp_pattern(spec: PolarCodeSpec, profile: ReliabilityProfile, q: int) -> PuncturePattern:
     """Worst-quality pattern: the q least reliable frozen bit channels.
 
-    The frozen set is ordered by ascending quality (error probability when
-    the profile carries one, the raw metric otherwise; ties to the lower
-    index) and the first q entries become the source set. Raises
-    :class:`UnsupportedConfiguration` for q > |F|, where the
-    no-punctured-information-channel guarantee no longer holds.
+    The frozen set is taken in the order of
+    :meth:`ReliabilityProfile.worst_first`: ascending quality metric
+    (Bhattacharyya parameter descending for the BEC, LLR mean or
+    polarization weight ascending otherwise), ties to the lower popcount
+    first and then to the lower index. The first q entries become the
+    source set. Raises :class:`UnsupportedConfiguration` for q > |F|, where
+    the no-punctured-information-channel guarantee no longer holds.
     """
     if spec.n != profile.n:
         raise ValueError("spec and profile widths differ")
     if q <= 0:
         raise ValueError(f"puncture count must be positive, got {q}")
-    frozen = set(spec.frozen_set)
-    if q > len(frozen):
+    if q > len(spec.frozen_set):
         raise UnsupportedConfiguration(
-            f"q={q} exceeds the frozen-set size {len(frozen)}; "
+            f"q={q} exceeds the frozen-set size {len(spec.frozen_set)}; "
             "puncturing beyond N - (k + crc_bits) is not supported")
-    worst = [int(i) for i in profile.worst_first() if int(i) in frozen]
-    return _pattern_from_source(worst[:q], spec.n, WQP)
+    frozen = np.zeros(spec.size, dtype=bool)
+    frozen[list(spec.frozen_set)] = True
+    order = profile.worst_first()
+    return _pattern_from_source(order[frozen[order]][:q].tolist(), spec.n, WQP)
 
 
 def custom_pattern(coded_positions: Iterable[int], n: int) -> PuncturePattern:

@@ -33,7 +33,6 @@ from ._version import __version__
 
 DECODERS = ("sc", "scl")
 PUNCTURINGS = ("none", "qup", "wqp", "custom")
-CONSTRUCTIONS = (construct.BEC_EXACT, construct.GA, construct.PW)
 
 
 @dataclass(frozen=True)
@@ -68,13 +67,6 @@ class SimConfig:
     def rate(self) -> float:
         return self.k / self.transmitted
 
-    def construction_kind(self) -> str:
-        return self.construction.partition(":")[0]
-
-    def construction_value(self) -> float | None:
-        _, _, val = self.construction.partition(":")
-        return float(val) if val else None
-
     def validate(self) -> None:
         N = self.size
         if not 1 <= self.n <= 20:
@@ -100,13 +92,6 @@ class SimConfig:
                 raise ValueError("q must match the number of custom coded positions")
         if self.k > self.transmitted:
             raise ValueError("more information bits than transmitted symbols")
-        kind = self.construction_kind()
-        if kind not in CONSTRUCTIONS:
-            raise ValueError(f"construction must be one of {CONSTRUCTIONS}")
-        if kind == construct.BEC_EXACT and self.construction_value() is None:
-            raise ValueError("bec construction needs an erasure probability, e.g. bec:0.5")
-        if kind == construct.GA and self.construction_value() is None and self.channel != chan.AWGN:
-            raise ValueError("ga construction needs an explicit design SNR on this channel")
         if self.decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {DECODERS}")
         if self.decoder == "scl" and self.list_size < 1:
@@ -125,20 +110,22 @@ class SimConfig:
             raise ValueError("max_frames, min_frame_errors and batch_size must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
+        self.design_snr_db()  # rejects a malformed construction string
 
     def design_snr_db(self) -> float | None:
         """Design Es/N0 for the GA construction.
 
         Defaults to the sweep's Eb/N0 midpoint converted to Es/N0 at the
-        punctured rate when no explicit value is configured.
+        punctured rate when no explicit value is configured; only an AWGN
+        sweep has that default. Raises ``ValueError`` for a malformed
+        construction string.
         """
-        if self.construction_kind() != construct.GA:
-            return None
-        explicit = self.construction_value()
-        if explicit is not None:
-            return explicit
-        mid = 0.5 * (min(self.sweep) + max(self.sweep))
-        return mid + 10.0 * math.log10(self.rate)
+        default = None
+        if self.channel == chan.AWGN:
+            mid = 0.5 * (min(self.sweep) + max(self.sweep))
+            default = mid + 10.0 * math.log10(self.rate)
+        method, param = construct.parse_construction(self.construction, default)
+        return param if method == construct.GA else None
 
     def to_json_dict(self) -> dict:
         d = asdict(self)
@@ -198,14 +185,7 @@ class SimResult:
 def build_components(cfg: SimConfig):
     """Profile, code spec, pattern and CRC polynomial for a validated config."""
     cfg.validate()
-    kind = cfg.construction_kind()
-    if kind == construct.BEC_EXACT:
-        profile = construct.bec_bhattacharyya(cfg.n, cfg.construction_value())
-    elif kind == construct.GA:
-        profile = construct.ga_reliability(cfg.n, cfg.design_snr_db())
-    else:
-        beta = cfg.construction_value()
-        profile = construct.pw_reliability(cfg.n, construct.DEFAULT_PW_BETA if beta is None else beta)
+    profile = construct.build_profile(cfg.construction, cfg.n, cfg.design_snr_db())
     spec = construct.select_information_set(profile, cfg.k + cfg.crc_bits, crc_bits=cfg.crc_bits)
     if cfg.puncturing == "none":
         pattern = None

@@ -53,6 +53,34 @@ def zero_capacity_channels(coded_set, n: int) -> set[int]:
     return zero
 
 
+def butterfly_zero_set(coded_set, n: int) -> set[int]:
+    """Bit channels with an exactly zero SC decision LLR when ``coded_set`` is dropped.
+
+    One boolean pass of the SC tree on "this LLR is zero", with generic
+    nonzero LLRs everywhere else. The dropped coded positions are marked
+    and the mask is bit-reversed into decoder order (the decoder reads
+    channel LLR ``c`` at position ``rev(c)``). A check-node (f) child is
+    zero when either half is, a variable-node (g) child only when both
+    are. The marked leaves, in order, are the zero-LLR bit channels.
+    """
+    N = 1 << n
+    mask = np.zeros(N, dtype=bool)
+    for c in set(coded_set):
+        mask[int(format(c, f"0{n}b")[::-1], 2)] = True
+    leaves: list[bool] = []
+
+    def visit(zero: np.ndarray) -> None:
+        if zero.size == 1:
+            leaves.append(bool(zero[0]))
+            return
+        upper, lower = np.split(zero, 2)
+        visit(upper | lower)
+        visit(upper & lower)
+
+    visit(mask)
+    return {i for i, z in enumerate(leaves) if z}
+
+
 def crc_remainder_intdiv(bits, width: int, poly: int) -> list[int]:
     """Plain polynomial long division on a big integer, MSB first."""
     val = 0

@@ -36,7 +36,7 @@ from polarpunct.construct import (
     ga_reliability,
     select_information_set,
 )
-from polarpunct.degrade import propagate, propagate_puncture
+from polarpunct.degrade import propagate
 from polarpunct.puncture import analyze_pattern, qup_pattern, wqp_pattern
 from polarpunct.sim import SimConfig, run_sweep
 
@@ -135,7 +135,7 @@ def test_04_propagation_property_suite():
 
 
 def _check_map(src, n):
-    pmap = propagate_puncture(src, n)
+    pmap = propagate(src, n)
     dests = [d for _, d in pmap.pairs]
     assert len(pmap.pairs) == len(src)
     assert len(set(dests)) == len(src)
@@ -178,7 +178,7 @@ def test_05_closure_and_optimality():
                                            spec, profile).quality_loss
                     for subset in itertools.combinations(frozen, q):
                         rival = sum(0.5 - pb[d] for d
-                                    in propagate_puncture(subset, n).destinations)
+                                    in propagate(subset, n).destinations)
                         assert best <= rival + 1e-12
 
 

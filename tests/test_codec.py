@@ -11,6 +11,7 @@ from polarpunct.bitops import bit_reverse
 from polarpunct.codec import (
     CRC8_0X9B,
     CRC16_0X8005,
+    bit_reversal_permutation,
     crc_append,
     crc_check,
     crc_check_batch,
@@ -93,6 +94,16 @@ class TestEncode:
         w = polar_transform(u)
         perm = np.array([bit_reverse(i, 7) for i in range(128)])
         assert np.array_equal(encode(u), w[perm])
+
+    def test_bit_reversal_table(self):
+        # N = 1 needs no special case; the cached table is shared, so read-only
+        assert bit_reversal_permutation(0).tolist() == [0]
+        assert encode([1]).tolist() == [1]
+        for n in range(1, 11):
+            perm = bit_reversal_permutation(n)
+            assert perm.tolist() == [bit_reverse(i, n) for i in range(1 << n)]
+            with pytest.raises(ValueError):
+                perm[0] = 1
 
 
 class TestPayloadPlacement:
@@ -211,14 +222,14 @@ class TestScDecode:
     def test_punctured_source_zeroes_destination_llr(self):
         # dropping the coded symbol paired with one source index must leave
         # exactly zero decision LLR at the propagated destination channel
-        from polarpunct.degrade import propagate_puncture
+        from polarpunct.degrade import propagate
 
         rng = np.random.default_rng(12)
         for n in (1, 2, 3):
             N = 1 << n
             spec = select_information_set(bec_bhattacharyya(n, 0.5), N)
             for src in range(N):
-                dst = propagate_puncture({src}, n).as_dict()[src]
+                dst = propagate({src}, n).as_dict()[src]
                 llr = rng.uniform(0.5, 3.0, N)
                 llr[bit_reverse(src, n)] = 0.0
                 _, dec = sc_decode(llr, spec, return_decision_llrs=True)

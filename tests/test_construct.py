@@ -8,7 +8,9 @@ from polarpunct.bitops import covers
 from polarpunct.construct import (
     DEFAULT_PW_BETA,
     bec_bhattacharyya,
+    build_profile,
     ga_reliability,
+    parse_construction,
     pw_reliability,
     select_information_set,
 )
@@ -237,3 +239,22 @@ class TestSelectInformationSet:
         assert back["metric"] == BEC_HALF_N3
         assert back["I"] == [3, 5, 6, 7]
         assert back["F"] == [0, 1, 2, 4]
+
+
+class TestParseConstruction:
+    def test_values_and_defaults(self):
+        assert parse_construction("bec:0.5") == ("bec", 0.5)
+        assert parse_construction("ga:1.25", 3.0) == ("ga", 1.25)
+        assert parse_construction("ga", 3.0) == ("ga", 3.0)
+        assert parse_construction("pw") == ("pw", DEFAULT_PW_BETA)
+        assert parse_construction("pw:1.1") == ("pw", 1.1)
+
+    @pytest.mark.parametrize("text", ["bec", "ga", "ga:", "pw:beta", "quantized:1", ""])
+    def test_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_construction(text)
+
+    def test_build_profile(self):
+        assert np.array_equal(build_profile("bec:0.5", 3).metric, BEC_HALF_N3)
+        assert build_profile("ga", 4, 1.0).params == ga_reliability(4, 1.0).params
+        assert build_profile("pw", 3).params == {"beta": DEFAULT_PW_BETA}

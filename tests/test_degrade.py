@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import zero_capacity_channels
+from oracles import butterfly_zero_set, zero_capacity_channels
 
 from polarpunct.bitops import bit_reverse_set, covers
 from polarpunct.construct import (
@@ -10,12 +12,7 @@ from polarpunct.construct import (
     pw_reliability,
     select_information_set,
 )
-from polarpunct.degrade import (
-    basic_map,
-    propagate,
-    propagate_puncture,
-    punctured_bit_channels,
-)
+from polarpunct.degrade import propagate, punctured_bit_channels
 
 
 def propagate_reference(indices, n):
@@ -33,23 +30,6 @@ def propagate_reference(indices, n):
             for s, p in pos.items()
         }
     return pos
-
-
-class TestBasicMap:
-    def test_singletons_collapse_to_zero(self):
-        assert basic_map({1}) == {1: 0}
-        assert basic_map({0}) == {0: 0}
-
-    def test_pair_is_identity(self):
-        assert basic_map({0, 1}) == {0: 0, 1: 1}
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            basic_map(set())
-
-    def test_garbage_rejected(self):
-        with pytest.raises(ValueError):
-            basic_map({0, 2})
 
 
 class TestPropagate:
@@ -75,6 +55,21 @@ class TestPropagate:
         pmap = propagate(set(), 4)
         assert pmap.pairs == ()
         assert pmap.destinations == frozenset()
+        assert propagate(set(), 3).pairs == ()
+
+    def test_non_integer_rejected(self):
+        # a float would otherwise be truncated silently by the array step
+        with pytest.raises(TypeError):
+            propagate([2.5], 3)
+
+    def test_low_block_source(self):
+        # {0,..,3} at n=3 pairs only within itself, so it maps to itself;
+        # its image cannot contain 4, which no source covers
+        pmap = propagate({0, 1, 2, 3}, 3)
+        assert pmap.destinations == {0, 1, 2, 3}
+
+    def test_pi_closed_source(self):
+        assert propagate({0, 1, 2, 4}, 3).destinations == {0, 1, 2, 4}
 
     def test_matches_reference_exhaustively_n3(self):
         for bits in range(1 << 8):
@@ -113,28 +108,6 @@ class TestPropagate:
         assert d["levels"][-1] == [2, 1, 0, 4]
 
 
-class TestPropagatePuncture:
-    def test_same_mapping_as_propagate(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            n = int(rng.integers(1, 8))
-            size = int(rng.integers(1, 1 << n))
-            s = set(rng.choice(1 << n, size=size, replace=False).tolist())
-            assert propagate_puncture(s, n) == propagate(s, n)
-
-    def test_low_block_source(self):
-        # {0,..,3} at n=3 pairs only within itself, so it maps to itself;
-        # its image cannot contain 4, which no source covers
-        pmap = propagate_puncture({0, 1, 2, 3}, 3)
-        assert pmap.destinations == {0, 1, 2, 3}
-
-    def test_pi_closed_source(self):
-        assert propagate_puncture({0, 1, 2, 4}, 3).destinations == {0, 1, 2, 4}
-
-    def test_empty(self):
-        assert propagate_puncture(set(), 3).pairs == ()
-
-
 class TestPuncturedBitChannels:
     def test_coded_domain_wrapper(self):
         # coded positions {0,4,2,6} bit-reverse to sources {0,1,2,3}
@@ -157,6 +130,22 @@ class TestPuncturedBitChannels:
             cases.append((4, set(rng.choice(16, size=size, replace=False).tolist())))
         for n, coded in cases:
             assert punctured_bit_channels(coded, n) == zero_capacity_channels(coded, n)
+
+    def test_matches_butterfly_oracle(self):
+        # design sizes: n <= 12 and up to 1500 dropped positions
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            n = int(rng.integers(1, 13))
+            size = int(rng.integers(0, min(1 << n, 1500) + 1))
+            coded = set(rng.choice(1 << n, size=size, replace=False).tolist())
+            assert punctured_bit_channels(coded, n) == butterfly_zero_set(coded, n)
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.integers(1, 10).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1)))))
+    def test_propagation_equals_zero_llr_trace(self, case):
+        n, coded = case
+        assert punctured_bit_channels(coded, n) == butterfly_zero_set(coded, n)
 
 
 class TestClosureUnderFrozenSets:

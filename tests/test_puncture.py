@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from polarpunct.construct import (
     pw_reliability,
     select_information_set,
 )
-from polarpunct.degrade import propagate_puncture
+from polarpunct.degrade import propagate
 from polarpunct.puncture import (
     UnsupportedConfiguration,
     analyze_pattern,
@@ -19,6 +20,8 @@ from polarpunct.puncture import (
     wqp_pattern,
 )
 from polarpunct.puncture import _pattern_from_source
+
+from oracles import butterfly_zero_set
 
 
 class TestQupPattern:
@@ -48,11 +51,22 @@ class TestQupPattern:
         with pytest.raises(ValueError):
             qup_pattern(3, 8)
 
+    def test_kept_positions(self):
+        p = qup_pattern(5, 11)
+        kept = p.kept_positions
+        assert kept.dtype == np.intp
+        assert kept.tolist() == sorted(set(range(32)) - set(p.coded_set))
+        with pytest.raises(ValueError):
+            kept[0] = 0
+        # derived data: no part of repr, equality, hashing or JSON
+        assert "kept" not in repr(p) and "kept" not in json.dumps(p.to_json_dict())
+        assert p == qup_pattern(5, 11) and hash(p) == hash(qup_pattern(5, 11))
+
     def test_invariants(self):
         p = qup_pattern(5, 11)
         assert len(p.source_set) == len(p.coded_set) == len(p.destination_set) == 11
         assert p.transmitted == 32 - 11
-        assert set(p.destination_set) == propagate_puncture(p.source_set, 5).destinations
+        assert set(p.destination_set) == propagate(p.source_set, 5).destinations
 
 
 class TestWqpPattern:
@@ -256,4 +270,14 @@ class TestDestinationDecomposition:
             p = qup_pattern(n, q) if rng.integers(2) else _pattern_from_source(
                 rng.choice(1 << n, size=q, replace=False).tolist(), n, "custom")
             assert set(p.destination_set) == {d for _, d in p.pairs}
-            assert set(p.destination_set) == propagate_puncture(p.source_set, n).destinations
+            assert set(p.destination_set) == propagate(p.source_set, n).destinations
+
+    def test_destinations_match_butterfly_oracle(self):
+        # design sizes, as the benchmark's design workload uses them
+        for n, snr, qs in ((8, 0.5, (70, 128)), (10, -1.0, (100, 300, 512)),
+                           (12, 0.0, (500, 1000, 1500))):
+            prof = ga_reliability(n, snr)
+            spec = select_information_set(prof, (1 << n) // 2)
+            for q in qs:
+                for p in (qup_pattern(n, q), wqp_pattern(spec, prof, q)):
+                    assert set(p.destination_set) == butterfly_zero_set(p.coded_set, n)
