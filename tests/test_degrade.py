@@ -55,21 +55,11 @@ class TestPropagate:
         pmap = propagate(set(), 4)
         assert pmap.pairs == ()
         assert pmap.destinations == frozenset()
-        assert propagate(set(), 3).pairs == ()
 
     def test_non_integer_rejected(self):
         # a float would otherwise be truncated silently by the array step
         with pytest.raises(TypeError):
             propagate([2.5], 3)
-
-    def test_low_block_source(self):
-        # {0,..,3} at n=3 pairs only within itself, so it maps to itself;
-        # its image cannot contain 4, which no source covers
-        pmap = propagate({0, 1, 2, 3}, 3)
-        assert pmap.destinations == {0, 1, 2, 3}
-
-    def test_pi_closed_source(self):
-        assert propagate({0, 1, 2, 4}, 3).destinations == {0, 1, 2, 4}
 
     def test_matches_reference_exhaustively_n3(self):
         for bits in range(1 << 8):
@@ -106,6 +96,21 @@ class TestPropagate:
         assert d["pairs"][0] == {"source": 2, "destination": 2}
         assert d["levels"][0] == [2, 3, 4, 7]
         assert d["levels"][-1] == [2, 1, 0, 4]
+
+
+class TestPropagatePuncture:
+    # propagate applied to the source sets of puncturing patterns
+    def test_low_block_source(self):
+        # {0,..,3} at n=3 pairs only within itself, so it maps to itself;
+        # its image cannot contain 4, which no source covers
+        pmap = propagate({0, 1, 2, 3}, 3)
+        assert pmap.destinations == {0, 1, 2, 3}
+
+    def test_pi_closed_source(self):
+        assert propagate({0, 1, 2, 4}, 3).destinations == {0, 1, 2, 4}
+
+    def test_empty(self):
+        assert propagate(set(), 3).pairs == ()
 
 
 class TestPuncturedBitChannels:
