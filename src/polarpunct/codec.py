@@ -155,14 +155,14 @@ def place_payload(payload, spec: PolarCodeSpec) -> np.ndarray:
     if payload.shape[-1] != want:
         raise ValueError(f"payload length {payload.shape[-1]} != k + crc_bits = {want}")
     u = np.zeros(payload.shape[:-1] + (spec.size,), dtype=np.uint8)
-    u[..., np.array(spec.info_set, dtype=np.intp)] = payload
+    u[..., spec.info_positions] = payload
     return u
 
 
 def extract_payload(u, spec: PolarCodeSpec) -> np.ndarray:
     """Inverse of :func:`place_payload` (info + CRC bits, ascending index)."""
     u = np.asarray(u)
-    return u[..., np.array(spec.info_set, dtype=np.intp)]
+    return u[..., spec.info_positions]
 
 
 # --------------------------------------------------------------------------- node operations
@@ -186,12 +186,6 @@ def _g(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return b + (1.0 - 2.0 * c) * a
 
 
-def _frozen_mask(spec: PolarCodeSpec) -> np.ndarray:
-    mask = np.zeros(spec.size, dtype=bool)
-    mask[np.array(spec.frozen_set, dtype=np.intp)] = True
-    return mask
-
-
 # --------------------------------------------------------------------------- SC
 
 def sc_decode(llr, spec: PolarCodeSpec, *, min_sum: bool = False,
@@ -209,6 +203,14 @@ def sc_decode(llr, spec: PolarCodeSpec, *, min_sum: bool = False,
 
     Returns the estimated input vector(s) ``u_hat`` with frozen zeros
     included; with ``return_decision_llrs`` also the per-bit decision LLRs.
+
+    Subtrees whose leaves are all frozen (Rate-0 nodes, read from
+    ``spec.frozen_tree``) are skipped: they decode to zeros without any
+    LLR being computed, and a node with a Rate-0 left child takes its g
+    step as the plain sum ``a + b``, which equals ``g(a, b, 0)`` bit for
+    bit. The output is the same as from the full tree. With
+    ``return_decision_llrs`` the full tree is walked, since the frozen
+    leaves need their decision LLRs too.
     """
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape[-1] != spec.size:
@@ -216,28 +218,38 @@ def sc_decode(llr, spec: PolarCodeSpec, *, min_sum: bool = False,
     batch_shape = llr.shape[:-1]
     w = llr.reshape(-1, spec.size)[:, bit_reversal_permutation(spec.n)]
     B, N = w.shape
-    frozen = _frozen_mask(spec)
+    tree = spec.frozen_tree
+    # Decision LLRs are wanted at the frozen leaves too, so no node is skipped.
+    skip = np.zeros_like(tree) if return_decision_llrs else tree
+    dec_llr = np.zeros((B, N)) if return_decision_llrs else None
     f = _minsum if min_sum else _boxplus
-
     u_hat = np.zeros((B, N), dtype=np.uint8)
-    dec_llr = np.zeros((B, N))
 
-    def rec(node_llr: np.ndarray, lo: int) -> np.ndarray:
+    def rec(node_llr: np.ndarray, node: int, lo: int) -> np.ndarray:
         m = node_llr.shape[1]
         if m == 1:
-            dec_llr[:, lo] = node_llr[:, 0]
-            if frozen[lo]:
+            if dec_llr is not None:
+                dec_llr[:, lo] = node_llr[:, 0]
+            if tree[node]:
                 return np.zeros((B, 1), dtype=np.uint8)
             u = (node_llr[:, 0] < 0).astype(np.uint8)
             u_hat[:, lo] = u
             return u[:, None]
         half = m // 2
         a, b = node_llr[:, :half], node_llr[:, half:]
-        x_left = rec(f(a, b), lo)
-        x_right = rec(_g(a, b, x_left), lo + half)
+        left = 2 * node + 1
+        # At most one child is skipped: a node with two Rate-0 children is Rate-0.
+        if skip[left]:
+            x_right = rec(a + b, left + 1, lo + half)
+            return np.concatenate([x_right, x_right], axis=1)
+        x_left = rec(f(a, b), left, lo)
+        if skip[left + 1]:
+            return np.concatenate([x_left, np.zeros_like(x_left)], axis=1)
+        x_right = rec(_g(a, b, x_left), left + 1, lo + half)
         return np.concatenate([x_left ^ x_right, x_right], axis=1)
 
-    rec(w, 0)
+    if not skip[0]:
+        rec(w, 0, 0)
     u_hat = u_hat.reshape(batch_shape + (N,))
     if return_decision_llrs:
         return u_hat, dec_llr.reshape(batch_shape + (N,))
@@ -374,7 +386,7 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int,
     w = llr.reshape(-1, spec.size)[:, bit_reversal_permutation(spec.n)]
     B = w.shape[0]
 
-    state = _ListState(w, list_size, _frozen_mask(spec), _minsum if min_sum else _boxplus)
+    state = _ListState(w, list_size, spec.frozen_mask, _minsum if min_sum else _boxplus)
     state.run()
 
     payload = state.payloads()

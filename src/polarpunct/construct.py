@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -33,6 +34,15 @@ DEFAULT_PW_BETA = 2.0 ** 0.25
 # exponential-polynomial fit to the asymptotic tail form.
 _PHI_SPLIT = 10.0
 _PHI_INV_RTOL = 1e-9
+
+
+def _popcount(n: int) -> np.ndarray:
+    """Number of set bits of every index in [0, 2**n)."""
+    idx = np.arange(1 << n)
+    pop = np.zeros_like(idx)
+    for b in range(n):
+        pop += (idx >> b) & 1
+    return pop
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,15 +87,12 @@ class ReliabilityProfile:
         guarantee relies on.
         """
         idx = np.arange(self.size)
-        pop = np.array([bin(i).count("1") for i in range(self.size)])
-        order = np.lexsort((idx, -pop, -self.quality()))
-        return order
+        return np.lexsort((idx, -_popcount(self.n), -self.quality()))
 
     def worst_first(self) -> np.ndarray:
         """Indices from least to most reliable (ties: lower popcount, lower index)."""
         idx = np.arange(self.size)
-        pop = np.array([bin(i).count("1") for i in range(self.size)])
-        return np.lexsort((idx, pop, self.quality()))
+        return np.lexsort((idx, _popcount(self.n), self.quality()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -104,6 +111,9 @@ class PolarCodeSpec:
     ``info_set`` holds the ``k + crc_bits`` most reliable indices under the
     construction it was derived from; ``frozen_set`` is its complement.
     Once selected the sets stay fixed, in particular across puncturing.
+    ``info_positions``, ``frozen_tree`` and ``frozen_mask`` are read-only
+    arrays derived from the sets once per spec; they take no part in
+    equality, hashing or JSON.
     """
 
     n: int
@@ -127,6 +137,37 @@ class PolarCodeSpec:
     @property
     def size(self) -> int:
         return 1 << self.n
+
+    @cached_property
+    def info_positions(self) -> np.ndarray:
+        """The information set as an ascending ``np.intp`` array."""
+        info = np.array(self.info_set, dtype=np.intp)
+        info.setflags(write=False)
+        return info
+
+    @cached_property
+    def frozen_tree(self) -> np.ndarray:
+        """Which dyadic index blocks are entirely frozen, in heap order.
+
+        Entry ``2**d - 1 + j`` (``0 <= d <= n``) is True when every index of
+        block ``j`` of length ``N >> d`` is frozen: the root is entry 0, the
+        children of entry ``i`` are ``2i + 1`` and ``2i + 2``, and the last N
+        entries are the frozen mask. These are the Rate-0 nodes of the SC
+        decoding tree.
+        """
+        N = self.size
+        tree = np.zeros(2 * N - 1, dtype=bool)
+        tree[N - 1:][list(self.frozen_set)] = True
+        for d in range(self.n - 1, -1, -1):
+            lo = (1 << d) - 1
+            tree[lo:2 * lo + 1] = tree[2 * lo + 1:4 * lo + 3:2] & tree[2 * lo + 2:4 * lo + 3:2]
+        tree.setflags(write=False)
+        return tree
+
+    @property
+    def frozen_mask(self) -> np.ndarray:
+        """Read-only boolean mask of the frozen set (the leaves of ``frozen_tree``)."""
+        return self.frozen_tree[self.size - 1:]
 
     def to_json_dict(self) -> dict:
         return {

@@ -157,10 +157,8 @@ def wqp_pattern(spec: PolarCodeSpec, profile: ReliabilityProfile, q: int) -> Pun
         raise UnsupportedConfiguration(
             f"q={q} exceeds the frozen-set size {len(spec.frozen_set)}; "
             "puncturing beyond N - (k + crc_bits) is not supported")
-    frozen = np.zeros(spec.size, dtype=bool)
-    frozen[list(spec.frozen_set)] = True
     order = profile.worst_first()
-    return _pattern_from_source(order[frozen[order]][:q].tolist(), spec.n, WQP)
+    return _pattern_from_source(order[spec.frozen_mask[order]][:q].tolist(), spec.n, WQP)
 
 
 def custom_pattern(coded_positions: Iterable[int], n: int) -> PuncturePattern:
@@ -193,7 +191,7 @@ def analyze_pattern(pattern: PuncturePattern, spec: PolarCodeSpec,
             f"{profile.method} profiles carry no error probability; "
             "quality-loss reporting needs a probability-bearing construction")
     pb = profile.error_prob
-    info = np.array(spec.info_set, dtype=int)
+    info = spec.info_positions
     dest = set(pattern.destination_set)
     hit = tuple(sorted(dest & set(spec.info_set)))
 

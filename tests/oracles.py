@@ -138,6 +138,55 @@ def ml_codeword_oracle(llr, spec, crc=None) -> np.ndarray:
     return best_u
 
 
+def _decoder_inputs(llr, spec):
+    """Channel LLRs as (B, N) in decoder (bit-reversed) order, and the frozen mask."""
+    n, N = spec.n, spec.size
+    perm = np.array([bit_reverse(i, n) for i in range(N)] if n else [0], dtype=np.intp)
+    w = np.asarray(llr, dtype=np.float64).reshape(-1, N)[:, perm]
+    frozen = np.ones(N, dtype=bool)
+    frozen[list(spec.info_set)] = False
+    return w, frozen
+
+
+def sc_full_reference(llr, spec, min_sum=False, return_decision_llrs=False):
+    """SC decoding over all 2N - 1 nodes of the tree, Rate-0 subtrees included.
+
+    This is the library's SC decoder as it was before it skipped Rate-0
+    subtrees. It shares only the node kernels f and g with the library, so
+    that every LLR it computes is the same float; bit reversal and the
+    frozen mask are its own.
+    """
+    llr = np.asarray(llr, dtype=np.float64)
+    batch_shape = llr.shape[:-1]
+    w, frozen = _decoder_inputs(llr, spec)
+    B, N = w.shape
+    f = _minsum if min_sum else _boxplus
+
+    u_hat = np.zeros((B, N), dtype=np.uint8)
+    dec_llr = np.zeros((B, N))
+
+    def rec(node_llr: np.ndarray, lo: int) -> np.ndarray:
+        m = node_llr.shape[1]
+        if m == 1:
+            dec_llr[:, lo] = node_llr[:, 0]
+            if frozen[lo]:
+                return np.zeros((B, 1), dtype=np.uint8)
+            u = (node_llr[:, 0] < 0).astype(np.uint8)
+            u_hat[:, lo] = u
+            return u[:, None]
+        half = m // 2
+        a, b = node_llr[:, :half], node_llr[:, half:]
+        x_left = rec(f(a, b), lo)
+        x_right = rec(_g(a, b, x_left), lo + half)
+        return np.concatenate([x_left ^ x_right, x_right], axis=1)
+
+    rec(w, 0)
+    u_hat = u_hat.reshape(batch_shape + (N,))
+    if return_decision_llrs:
+        return u_hat, dec_llr.reshape(batch_shape + (N,))
+    return u_hat
+
+
 class _EagerListState:
     """Batched list-decoder state: arrays indexed (frame, path, position).
 
@@ -217,14 +266,11 @@ def scl_eager_reference(llr, spec, L, crc=None, min_sum=False) -> np.ndarray:
     resolve on identical floats; bit reversal, the frozen mask, payload
     extraction and the CRC check are its own.
     """
-    n, N = spec.n, spec.size
+    N = spec.size
     llr = np.asarray(llr, dtype=np.float64)
     batch_shape = llr.shape[:-1]
-    perm = np.array([bit_reverse(i, n) for i in range(N)] if n else [0], dtype=np.intp)
-    w = llr.reshape(-1, N)[:, perm]
+    w, frozen = _decoder_inputs(llr, spec)
     B = w.shape[0]
-    frozen = np.ones(N, dtype=bool)
-    frozen[list(spec.info_set)] = False
     state = _EagerListState(w, L, frozen, _minsum if min_sum else _boxplus)
     state.run()
     order = np.argsort(state.pm, axis=1, kind="stable")

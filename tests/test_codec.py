@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from oracles import (
     crc_remainder_intdiv,
     generator_matrix,
     ml_codeword_oracle,
+    sc_full_reference,
     scl_eager_reference,
     sequential_bit_map_oracle,
 )
@@ -183,6 +185,13 @@ def _noiseless_llr(x):
     return np.where(np.asarray(x) == 0, 40.0, -40.0)
 
 
+def _spec(n, info):
+    N = 1 << n
+    return PolarCodeSpec(n=n, k=len(info), crc_bits=0, info_set=tuple(sorted(info)),
+                         frozen_set=tuple(sorted(set(range(N)) - info)),
+                         construction="explicit")
+
+
 class TestScDecode:
     def test_noiseless_round_trip(self):
         rng = np.random.default_rng(9)
@@ -242,6 +251,48 @@ class TestScDecode:
         u = place_payload(payload, spec)
         llr = _noiseless_llr(encode(u)) + rng.normal(0, 0.5, (20, 64))
         assert np.array_equal(sc_decode(llr, spec), sc_decode(llr, spec, min_sum=True))
+
+    def test_tie_survives_information_only_node(self):
+        # Both channels carry information (a Rate-1 node). Bit 0 sees
+        # f(0, -1) = 0 and ties to 0; bit 1 then sees -1 + 0 < 0. Hard
+        # deciding the channel LLRs and re-encoding would give [1, 1].
+        spec = _spec(1, {0, 1})
+        assert sc_decode(np.array([0.0, -1.0]), spec).tolist() == [0, 1]
+
+    def test_all_frozen_code(self):
+        for n in (0, 1, 4):
+            spec = _spec(n, set())
+            llr = np.random.default_rng(n).normal(0, 2, (3, 1 << n))
+            assert not sc_decode(llr, spec).any()
+            u_hat, dec = sc_decode(llr, spec, return_decision_llrs=True)
+            assert not u_hat.any()
+            assert np.array_equal(dec, sc_full_reference(llr, spec, return_decision_llrs=True)[1])
+
+    def test_pruned_matches_full_reference(self):
+        # Every information set at n <= 3, the empty one included, and 240
+        # random sets at n = 4..8. Integer LLRs and exact zeros make
+        # decision LLRs tie at 0, which exercises the tie rule.
+        rng = np.random.default_rng(22)
+        specs = [_spec(n, set(info)) for n in range(4)
+                 for r in range((1 << n) + 1)
+                 for info in itertools.combinations(range(1 << n), r)]
+        for _ in range(240):
+            n = int(rng.integers(4, 9))
+            N = 1 << n
+            info = rng.choice(N, int(rng.integers(0, N + 1)), replace=False)
+            specs.append(_spec(n, set(info.tolist())))
+        for spec in specs:
+            shape = (6, spec.size)
+            noisy = rng.normal(0.5, 2.0, shape)
+            noisy[rng.random(shape) < 0.3] = 0.0
+            llr = np.concatenate([rng.integers(-2, 3, shape).astype(float), noisy])
+            for min_sum in (False, True):
+                got = sc_decode(llr, spec, min_sum=min_sum)
+                assert np.array_equal(got, sc_full_reference(llr, spec, min_sum=min_sum))
+                got = sc_decode(llr, spec, min_sum=min_sum, return_decision_llrs=True)
+                want = sc_full_reference(llr, spec, min_sum=min_sum,
+                                         return_decision_llrs=True)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 # ------------------------------------------------------------------ SCL
@@ -365,6 +416,22 @@ def _code_and_llrs(draw, crc_bits=0):
                        st.floats(-30.0, 30.0))
     frames = draw(st.integers(1, 4))
     return spec, draw(hnp.arrays(np.float64, (frames, N), elements=values))
+
+
+class TestScProperties:
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(_code_and_llrs(), st.booleans())
+    def test_pruned_equals_full_reference(self, case, min_sum):
+        spec, llr = case
+        assert np.array_equal(sc_decode(llr, spec, min_sum=min_sum),
+                              sc_full_reference(llr, spec, min_sum=min_sum))
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(_code_and_llrs())
+    def test_batch_equals_frame_by_frame(self, case):
+        spec, llr = case
+        alone = np.stack([sc_decode(frame, spec) for frame in llr])
+        assert np.array_equal(sc_decode(llr, spec), alone)
 
 
 class TestSclProperties:

@@ -7,6 +7,7 @@ import pytest
 from polarpunct.bitops import covers
 from polarpunct.construct import (
     DEFAULT_PW_BETA,
+    PolarCodeSpec,
     bec_bhattacharyya,
     build_profile,
     ga_reliability,
@@ -187,6 +188,21 @@ class TestPwReliability:
                     assert w[j] <= w[i] + 1e-12
 
 
+class TestProfileOrders:
+    def test_match_python_popcount_reference(self):
+        # Degenerate profiles (erasure probability 0 or 1, PW) tie on the
+        # metric, so the popcount key decides most of their order.
+        profiles = [bec_bhattacharyya(n, eps) for n in range(11) for eps in (0.0, 0.5, 1.0)]
+        profiles += [ga_reliability(n, 1.0) for n in (0, 3, 8)]
+        profiles += [pw_reliability(n) for n in (0, 3, 8)]
+        for prof in profiles:
+            idx = np.arange(prof.size)
+            pop = np.array([bin(i).count("1") for i in range(prof.size)])
+            q = prof.quality()
+            assert prof.best_first().tolist() == np.lexsort((idx, -pop, -q)).tolist()
+            assert prof.worst_first().tolist() == np.lexsort((idx, pop, q)).tolist()
+
+
 class TestSelectInformationSet:
     def test_bec_half_k4(self):
         spec = select_information_set(bec_bhattacharyya(3, 0.5), 4)
@@ -239,6 +255,38 @@ class TestSelectInformationSet:
         assert back["metric"] == BEC_HALF_N3
         assert back["I"] == [3, 5, 6, 7]
         assert back["F"] == [0, 1, 2, 4]
+
+
+class TestSpecArrays:
+    def test_info_positions(self):
+        spec = select_information_set(ga_reliability(5, 1.0), 20, crc_bits=8)
+        info = spec.info_positions
+        assert info.dtype == np.intp and info.tolist() == list(spec.info_set)
+        with pytest.raises(ValueError):
+            info[0] = 0
+        # derived data: no part of repr, equality, hashing or JSON
+        other = select_information_set(ga_reliability(5, 1.0), 20, crc_bits=8)
+        assert spec == other and hash(spec) == hash(other)
+        assert "positions" not in repr(spec) and "tree" not in repr(spec)
+        assert set(spec.to_json_dict()) == {"n", "k", "crc_bits", "I", "F", "construction"}
+
+    def test_frozen_tree_marks_all_frozen_blocks(self):
+        rng = np.random.default_rng(3)
+        for n in range(7):
+            N = 1 << n
+            for _ in range(20):
+                info = set(rng.choice(N, int(rng.integers(0, N + 1)), replace=False).tolist())
+                spec = PolarCodeSpec(n=n, k=len(info), crc_bits=0,
+                                     info_set=tuple(sorted(info)),
+                                     frozen_set=tuple(sorted(set(range(N)) - info)),
+                                     construction="explicit")
+                tree = spec.frozen_tree
+                want = [not info & set(range(j * (N >> d), (j + 1) * (N >> d)))
+                        for d in range(n + 1) for j in range(1 << d)]
+                assert tree.tolist() == want
+                assert spec.frozen_mask.tolist() == [i not in info for i in range(N)]
+                with pytest.raises(ValueError):
+                    tree[0] = True
 
 
 class TestParseConstruction:

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarpunct.construct import (
     bec_bhattacharyya,
@@ -113,6 +115,22 @@ class TestWqpPattern:
             q = int(rng.integers(1, q_max + 1))
             p = wqp_pattern(spec, prof, q)
             assert set(p.destination_set) <= set(spec.frozen_set)
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_never_punctures_an_information_channel(self, data):
+        n = data.draw(st.integers(1, 8))
+        N = 1 << n
+        prof = data.draw(st.one_of(
+            st.floats(-5.0, 8.0).map(lambda snr: ga_reliability(n, snr)),
+            st.floats(1.0, 2.0).map(lambda beta: pw_reliability(n, beta)),
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+            .map(lambda eps: bec_bhattacharyya(n, eps))))
+        count = data.draw(st.integers(1, N - 1))
+        spec = select_information_set(prof, count)
+        q = data.draw(st.integers(1, N - count))
+        p = wqp_pattern(spec, prof, q)
+        assert not set(p.destination_set) & set(spec.info_set)
 
     def test_pw_ordering_uses_weights(self):
         prof = pw_reliability(3)
