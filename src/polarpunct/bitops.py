@@ -1,15 +1,20 @@
-"""Bit-index algebra: binary expansions, bit reversal, and the covering order.
+"""Bit-index algebra: binary expansions, bit reversal, popcounts and the covering order.
 
 All functions take the index width ``n`` explicitly; an index is valid for
-width ``n`` when it lies in ``[0, 2**n)``. Bit 1 of an expansion is the most
-significant bit, bit ``n`` the least significant.
+width ``n`` when it lies in ``[0, 2**n)``, and width 0 is the N = 1 code.
+Bit 1 of an expansion is the most significant bit, bit ``n`` the least
+significant. Array functions take ``n`` shift-and-mask steps over the given
+indices and build no ``2**n`` table, so every admitted width is cheap.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import lru_cache
 
-MIN_WIDTH = 1
+import numpy as np
+
+MIN_WIDTH = 0
 MAX_WIDTH = 32
 
 
@@ -18,10 +23,19 @@ def check_width(n: int) -> None:
         raise ValueError(f"width must be an integer in [{MIN_WIDTH}, {MAX_WIDTH}], got {n!r}")
 
 
-def check_index(i: int, n: int) -> None:
+def check_index(i, n: int) -> np.ndarray:
+    """``i`` (an int or integer array) as int64, each entry checked against width ``n``."""
     check_width(n)
-    if not 0 <= i < (1 << n):
-        raise ValueError(f"index {i} out of range [0, {1 << n}) for width {n}")
+    idx = np.asarray(i)
+    if idx.dtype.kind not in "biu":
+        # Entries are read in their own types, so no float passes as a whole number.
+        for v in np.asarray(i, dtype=object).flat:
+            if not isinstance(v, (int, np.integer)):
+                raise ValueError(f"index must be an integer, got {v!r}")
+    outside = (idx < 0) | (idx >= 1 << n)
+    if outside.any():
+        raise ValueError(f"index {idx[outside].flat[0]} out of range [0, {1 << n}) for width {n}")
+    return idx.astype(np.int64)
 
 
 def binary_expand(i: int, n: int) -> tuple[int, ...]:
@@ -30,14 +44,17 @@ def binary_expand(i: int, n: int) -> tuple[int, ...]:
     return tuple((i >> (n - 1 - k)) & 1 for k in range(n))
 
 
-def bit_reverse(i: int, n: int) -> int:
-    """Reverse the ``n``-bit expansion of ``i``. Self-inverse."""
-    check_index(i, n)
-    r = 0
-    for _ in range(n):
-        r = (r << 1) | (i & 1)
-        i >>= 1
-    return r
+def bit_reverse(i, n: int):
+    """Reverse the ``n``-bit expansion of ``i``. Self-inverse.
+
+    ``i`` is an int, giving an int, or an integer array, giving an int64
+    array of the same shape.
+    """
+    idx = check_index(i, n)
+    r = np.zeros_like(idx)
+    for b in range(n):
+        r |= ((idx >> b) & 1) << (n - 1 - b)
+    return r if np.ndim(i) else int(r)
 
 
 def bit_reverse_set(indices: Iterable[int], n: int) -> frozenset[int]:
@@ -45,7 +62,25 @@ def bit_reverse_set(indices: Iterable[int], n: int) -> frozenset[int]:
 
     Cardinality is preserved because reversal is a permutation.
     """
-    return frozenset(bit_reverse(i, n) for i in indices)
+    return frozenset(bit_reverse(list(indices), n).tolist())
+
+
+@lru_cache(maxsize=32)
+def bit_reversal_permutation(n: int) -> np.ndarray:
+    """Index table of the n-bit reversal; read-only, as the cache shares it."""
+    check_width(n)
+    perm = bit_reverse(np.arange(1 << n), n)
+    perm.setflags(write=False)
+    return perm
+
+
+def popcount(i, n: int) -> np.ndarray:
+    """Number of set bits of each ``n``-bit index in the integer array ``i``."""
+    idx = check_index(i, n)
+    pop = np.zeros_like(idx)
+    for b in range(n):
+        pop += (idx >> b) & 1
+    return pop
 
 
 def covers(i: int, j: int, n: int) -> bool:

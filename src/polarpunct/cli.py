@@ -22,6 +22,7 @@ import sys
 from . import construct as cons
 from . import degrade, puncture, sim
 from ._version import __version__
+from .bitops import bit_reverse
 
 
 def _int_list(text: str) -> list[int]:
@@ -37,8 +38,7 @@ def _float_list(text: str) -> list[float]:
 def _write_json(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        sim.write_atomic(out, lambda fh: fh.write(text + "\n"))
     else:
         print(text)
 
@@ -102,27 +102,17 @@ def _cmd_puncture(args) -> int:
 def _cmd_propagate(args) -> int:
     indices = _int_list(args.set)
     if args.domain == "coded":
-        from .bitops import bit_reverse_set
-        indices = sorted(bit_reverse_set(indices, args.n))
+        indices = bit_reverse(indices, args.n)
     pmap = degrade.propagate(indices, args.n)
     _write_json(pmap.to_json_dict(), args.out)
     return 0
-
-
-_SIM_FIELDS = ("n", "k", "crc_bits", "construction", "puncturing", "q",
-               "decoder", "list_size", "channel", "sweep", "max_frames",
-               "min_frame_errors", "master_seed", "batch_size", "custom_coded")
 
 
 def _config_from_args(args) -> sim.SimConfig:
     base: dict = {}
     if args.config:
         with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        unknown = set(file_cfg) - set(_SIM_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        base.update(file_cfg)
+            base.update(json.load(fh))
     overrides = {
         "n": args.n, "k": args.k, "crc_bits": args.crc,
         "construction": args.construction, "puncturing": args.puncture,
@@ -137,11 +127,7 @@ def _config_from_args(args) -> sim.SimConfig:
             base["custom_coded"] = json.load(fh)
             base.setdefault("q", len(set(base["custom_coded"])))
     base.update({k: v for k, v in overrides.items() if v is not None})
-    if base.get("custom_coded") is not None:
-        base["custom_coded"] = tuple(base["custom_coded"])
-    if "sweep" in base:
-        base["sweep"] = tuple(base["sweep"])
-    cfg = sim.SimConfig(**base)
+    cfg = sim.SimConfig.from_json_dict(base)
     cfg.validate()
     return cfg
 
@@ -170,8 +156,7 @@ def _cmd_compare(args) -> int:
     lines = ["sweep_param,FER_a,BER_a,FER_b,BER_b"]
     for pa, pb in zip(a.points, b.points):
         lines.append(f"{pa.sweep_param},{pa.fer},{pa.ber},{pb.fer},{pb.ber}")
-    with open(args.out + ".csv", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    sim.write_atomic(args.out + ".csv", lambda fh: fh.write("\n".join(lines) + "\n"))
     sim.emit(a, args.out + "_a", ("json",))
     sim.emit(b, args.out + "_b", ("json",))
     print(f"wrote {args.out}.csv")

@@ -2,8 +2,9 @@
 
 Conventions (fixed so results are bit-exact reproducible):
 
-* The generator is the bit-reversal permutation composed with the n-fold
-  Kronecker power of [[1, 0], [1, 1]]; encoding is an involution.
+* The generator is the bit-reversal permutation (from
+  :mod:`polarpunct.bitops`) composed with the n-fold Kronecker power of
+  [[1, 0], [1, 1]]; encoding is an involution.
 * Bit channel i of the natural input index i matches the reliability
   profiles from :mod:`polarpunct.construct`.
 * Frozen bits are all-zero. A decision LLR of exactly 0 decodes to 0, so a
@@ -11,6 +12,9 @@ Conventions (fixed so results are bit-exact reproducible):
 * CRC: MSB-first long division, initial register 0, no reflection, no
   final XOR; CRC bits are appended after the information bits and the
   payload occupies the information set in ascending index order.
+  ``crc_remainder``, ``crc_append`` and ``crc_check`` work over the last
+  axis, so one call serves a message or a batch of any shape; all three
+  multiply by one cached GF(2) remainder matrix per message length.
 * The check-node combine is the exact log-domain boxplus by default; a
   min-sum variant sits behind the ``min_sum`` flag.
 * SCL path metrics are exact: a path extension by decision u on decision
@@ -25,6 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .bitops import bit_reversal_permutation
 from .construct import PolarCodeSpec
 
 LLR_SATURATION = 40.0
@@ -54,66 +59,48 @@ def crc_for_width(width: int) -> CrcPoly:
         raise ValueError(f"no CRC polynomial registered for width {width}") from None
 
 
-def crc_remainder(bits, poly: CrcPoly) -> np.ndarray:
-    """Remainder of bitwise polynomial long division, MSB first, init 0."""
-    if not isinstance(poly, CrcPoly):
-        raise ValueError(f"unknown polynomial id {poly!r}")
-    bits = np.asarray(bits).astype(np.uint8).ravel()
-    r = poly.width
-    mask = (1 << r) - 1
-    reg = 0
-    for b in bits:
-        feedback = ((reg >> (r - 1)) & 1) ^ int(b)
-        reg = (reg << 1) & mask
-        if feedback:
-            reg ^= poly.poly
-    return np.array([(reg >> (r - 1 - k)) & 1 for k in range(r)], dtype=np.uint8)
-
-
-def crc_append(bits, poly: CrcPoly) -> np.ndarray:
-    """Append the CRC remainder; ``crc_check`` passes on the result."""
-    bits = np.asarray(bits).astype(np.uint8).ravel()
-    if bits.size < 1:
-        raise ValueError("need at least one information bit")
-    return np.concatenate([bits, crc_remainder(bits, poly)])
-
-
-def crc_check(bits, poly: CrcPoly) -> bool:
-    """True iff the trailing ``poly.width`` bits are the CRC of the rest."""
-    return not crc_remainder(bits, poly).any()
-
-
 @lru_cache(maxsize=32)
-def _crc_remainder_matrix(length: int, poly: CrcPoly) -> np.ndarray:
-    """Rows: remainder of each unit vector; batched remainder = bits @ M mod 2."""
-    m = np.zeros((length, poly.width), dtype=np.uint8)
-    for i in range(length):
-        e = np.zeros(length, dtype=np.uint8)
-        e[i] = 1
-        m[i] = crc_remainder(e, poly)
+def _crc_matrix(length: int, poly: CrcPoly) -> np.ndarray:
+    """Row i: x**(length - 1 - i + width) mod g, MSB first; read-only, as cached.
+
+    Register recurrence: the last row is x**width mod g, each row above it
+    the row below shifted once and reduced by g.
+    """
+    top = 1 << (poly.width - 1)
+    reg = poly.poly
+    rows = np.empty(length, dtype=np.int64)
+    for i in range(length - 1, -1, -1):
+        rows[i] = reg
+        reg = ((reg << 1) ^ (poly.poly if reg & top else 0)) & (2 * top - 1)
+    m = ((rows[:, None] >> np.arange(poly.width - 1, -1, -1)) & 1).astype(np.uint8)
+    m.setflags(write=False)
     return m
 
 
-def crc_check_batch(bits: np.ndarray, poly: CrcPoly) -> np.ndarray:
-    """Vectorized ``crc_check`` over the last axis."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    m = _crc_remainder_matrix(bits.shape[-1], poly)
-    rem = bits @ m % 2
-    return ~rem.any(axis=-1)
+def crc_remainder(bits, poly: CrcPoly) -> np.ndarray:
+    """Remainder of polynomial long division over the last axis, MSB first, init 0."""
+    if not isinstance(poly, CrcPoly):
+        raise ValueError(f"unknown polynomial id {poly!r}")
+    bits = np.asarray(bits).astype(np.uint8)
+    # uint8 sums wrap modulo 256, which keeps their parity.
+    return bits @ _crc_matrix(bits.shape[-1], poly) % 2
+
+
+def crc_append(bits, poly: CrcPoly) -> np.ndarray:
+    """Append the CRC remainder over the last axis; ``crc_check`` passes on the result."""
+    bits = np.asarray(bits).astype(np.uint8)
+    if bits.ndim == 0 or bits.shape[-1] < 1:
+        raise ValueError("need at least one information bit")
+    return np.concatenate([bits, crc_remainder(bits, poly)], axis=-1)
+
+
+def crc_check(bits, poly: CrcPoly):
+    """True where the last axis ends in the CRC of the rest: a bool, or one per batch entry."""
+    ok = ~crc_remainder(bits, poly).any(axis=-1)
+    return ok if np.ndim(ok) else bool(ok)
 
 
 # --------------------------------------------------------------------------- encoder
-
-@lru_cache(maxsize=32)
-def bit_reversal_permutation(n: int) -> np.ndarray:
-    """Index table of the n-bit reversal; read-only, as the cache shares it."""
-    idx = np.arange(1 << n, dtype=np.intp)
-    perm = np.zeros_like(idx)
-    for b in range(n):
-        perm |= ((idx >> b) & 1) << (n - 1 - b)
-    perm.setflags(write=False)
-    return perm
-
 
 def _check_block(x: np.ndarray) -> int:
     N = x.shape[-1]
@@ -188,8 +175,7 @@ def _g(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 # --------------------------------------------------------------------------- SC
 
-def sc_decode(llr, spec: PolarCodeSpec, *, min_sum: bool = False,
-              return_decision_llrs: bool = False):
+def sc_decode(llr, spec: PolarCodeSpec, *, min_sum: bool = False) -> np.ndarray:
     """Successive cancellation decoding.
 
     Parameters
@@ -202,15 +188,13 @@ def sc_decode(llr, spec: PolarCodeSpec, *, min_sum: bool = False,
         hard-decided from the bit-channel LLR (0 on a tie).
 
     Returns the estimated input vector(s) ``u_hat`` with frozen zeros
-    included; with ``return_decision_llrs`` also the per-bit decision LLRs.
+    included.
 
     Subtrees whose leaves are all frozen (Rate-0 nodes, read from
     ``spec.frozen_tree``) are skipped: they decode to zeros without any
     LLR being computed, and a node with a Rate-0 left child takes its g
     step as the plain sum ``a + b``, which equals ``g(a, b, 0)`` bit for
-    bit. The output is the same as from the full tree. With
-    ``return_decision_llrs`` the full tree is walked, since the frozen
-    leaves need their decision LLRs too.
+    bit. The output is the same as from the full tree.
     """
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape[-1] != spec.size:
@@ -218,20 +202,14 @@ def sc_decode(llr, spec: PolarCodeSpec, *, min_sum: bool = False,
     batch_shape = llr.shape[:-1]
     w = llr.reshape(-1, spec.size)[:, bit_reversal_permutation(spec.n)]
     B, N = w.shape
-    tree = spec.frozen_tree
-    # Decision LLRs are wanted at the frozen leaves too, so no node is skipped.
-    skip = np.zeros_like(tree) if return_decision_llrs else tree
-    dec_llr = np.zeros((B, N)) if return_decision_llrs else None
+    skip = spec.frozen_tree
     f = _minsum if min_sum else _boxplus
     u_hat = np.zeros((B, N), dtype=np.uint8)
 
     def rec(node_llr: np.ndarray, node: int, lo: int) -> np.ndarray:
         m = node_llr.shape[1]
         if m == 1:
-            if dec_llr is not None:
-                dec_llr[:, lo] = node_llr[:, 0]
-            if tree[node]:
-                return np.zeros((B, 1), dtype=np.uint8)
+            # Only information leaves are reached; frozen ones are skipped.
             u = (node_llr[:, 0] < 0).astype(np.uint8)
             u_hat[:, lo] = u
             return u[:, None]
@@ -250,10 +228,7 @@ def sc_decode(llr, spec: PolarCodeSpec, *, min_sum: bool = False,
 
     if not skip[0]:
         rec(w, 0, 0)
-    u_hat = u_hat.reshape(batch_shape + (N,))
-    if return_decision_llrs:
-        return u_hat, dec_llr.reshape(batch_shape + (N,))
-    return u_hat
+    return u_hat.reshape(batch_shape + (N,))
 
 
 # --------------------------------------------------------------------------- SCL
@@ -394,8 +369,7 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int,
     if crc is None:
         best = order[:, 0]
     else:
-        ok = crc_check_batch(payload.reshape(B * list_size, -1), crc).reshape(B, list_size)
-        ok_sorted = np.take_along_axis(ok, order, axis=1)
+        ok_sorted = np.take_along_axis(crc_check(payload, crc), order, axis=1)
         first_ok = np.argmax(ok_sorted, axis=1)
         pick = np.where(ok_sorted.any(axis=1), first_ok, 0)
         best = np.take_along_axis(order, pick[:, None], axis=1)[:, 0]

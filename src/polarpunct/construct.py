@@ -24,6 +24,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erfc
 
+from .bitops import popcount
+
 BEC_EXACT = "bec"
 GA = "ga"
 PW = "pw"
@@ -34,15 +36,6 @@ DEFAULT_PW_BETA = 2.0 ** 0.25
 # exponential-polynomial fit to the asymptotic tail form.
 _PHI_SPLIT = 10.0
 _PHI_INV_RTOL = 1e-9
-
-
-def _popcount(n: int) -> np.ndarray:
-    """Number of set bits of every index in [0, 2**n)."""
-    idx = np.arange(1 << n)
-    pop = np.zeros_like(idx)
-    for b in range(n):
-        pop += (idx >> b) & 1
-    return pop
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,12 +80,12 @@ class ReliabilityProfile:
         guarantee relies on.
         """
         idx = np.arange(self.size)
-        return np.lexsort((idx, -_popcount(self.n), -self.quality()))
+        return np.lexsort((idx, -popcount(idx, self.n), -self.quality()))
 
     def worst_first(self) -> np.ndarray:
         """Indices from least to most reliable (ties: lower popcount, lower index)."""
         idx = np.arange(self.size)
-        return np.lexsort((idx, _popcount(self.n), self.quality()))
+        return np.lexsort((idx, popcount(idx, self.n), self.quality()))
 
     def to_json_dict(self) -> dict:
         return {

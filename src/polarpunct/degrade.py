@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitops import bit_reverse_set, check_index, check_width
+from .bitops import bit_reverse, check_index
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,8 @@ def propagate(indices: Iterable[int], n: int) -> PropagationMap:
     by binary search in the sorted positions, so no buffer of ``2**n``
     entries is needed at any admitted width.
     """
-    check_width(n)
     sources = sorted({operator.index(i) for i in indices})
-    for i in sources:
-        check_index(i, n)
+    check_index(sources, n)
 
     position = np.array(sources, dtype=np.int64)
     levels = [tuple(sources)]
@@ -92,4 +90,4 @@ def punctured_bit_channels(coded_positions: Iterable[int], n: int) -> frozenset[
     Convenience wrapper: bit-reverses the coded positions into the source
     domain, then propagates.
     """
-    return propagate(bit_reverse_set(coded_positions, n), n).destinations
+    return propagate(bit_reverse(list(coded_positions), n), n).destinations

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bitops import bit_reverse, bit_reverse_set
+from .bitops import bit_reverse
 from .construct import PolarCodeSpec, ReliabilityProfile
 from .degrade import propagate
 
@@ -122,11 +122,10 @@ class PatternComparison:
 
 
 def _pattern_from_source(source: Iterable[int], n: int, scheme: str) -> PuncturePattern:
-    src = tuple(sorted(set(source)))
-    prop = propagate(src, n)
-    coded = tuple(sorted(bit_reverse(i, n) for i in src))
+    prop = propagate(source, n)
+    coded = tuple(np.sort(bit_reverse(prop.sources, n)).tolist())
     dest = tuple(sorted(prop.destinations))
-    return PuncturePattern(scheme=scheme, n=n, source_set=src, coded_set=coded,
+    return PuncturePattern(scheme=scheme, n=n, source_set=prop.sources, coded_set=coded,
                            destination_set=dest, pairs=prop.pairs)
 
 
@@ -165,13 +164,13 @@ def custom_pattern(coded_positions: Iterable[int], n: int) -> PuncturePattern:
     """Pattern from explicit coded-symbol positions (what a radio drops).
 
     Converted internally to the bit-channel domain via bit reversal. An
-    empty position set yields the trivial q = 0 pattern.
+    empty position set yields the trivial q = 0 pattern. A position that is
+    not an integer raises ``ValueError`` naming it.
     """
-    coded = sorted(set(coded_positions))
-    N = 1 << n
-    if len(coded) >= N:
+    source = bit_reverse(sorted(set(coded_positions)), n)
+    if source.size >= 1 << n:
         raise ValueError("cannot puncture every coded symbol")
-    return _pattern_from_source(bit_reverse_set(coded, n), n, CUSTOM)
+    return _pattern_from_source(source, n, CUSTOM)
 
 
 def analyze_pattern(pattern: PuncturePattern, spec: PolarCodeSpec,

@@ -23,7 +23,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -135,10 +135,14 @@ class SimConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SimConfig":
+        """Config from its JSON fields; an unknown field raises ``ValueError``."""
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config fields: {sorted(unknown)}")
         d = dict(d)
         if d.get("custom_coded") is not None:
             d["custom_coded"] = tuple(d["custom_coded"])
-        d["sweep"] = tuple(d["sweep"])
+        d["sweep"] = tuple(d.get("sweep", ()))
         return cls(**d)
 
 
@@ -213,7 +217,6 @@ def run_point(cfg: SimConfig, sweep_value: float, *, _components=None) -> PointR
     point_index = cfg.sweep.index(sweep_value)
     channel_cfg = chan.ChannelConfig(kind=cfg.channel, param=sweep_value,
                                      rate_for_ebn0=cfg.rate)
-    crc_matrix = codec._crc_remainder_matrix(cfg.k, crc_poly) if crc_poly else None
 
     start = time.perf_counter()
     frames = frame_errors = bit_errors = 0
@@ -222,8 +225,7 @@ def run_point(cfg: SimConfig, sweep_value: float, *, _components=None) -> PointR
         B = min(cfg.batch_size, cfg.max_frames - frames)
         rng = np.random.default_rng([cfg.master_seed, point_index, batch_index])
         info = rng.integers(0, 2, size=(B, cfg.k), dtype=np.uint8)
-        payload = info if crc_matrix is None else np.concatenate(
-            [info, info @ crc_matrix % 2], axis=1)
+        payload = info if crc_poly is None else codec.crc_append(info, crc_poly)
         u = codec.place_payload(payload, spec)
         x = codec.encode(u)
         tx = x if pattern is None else chan.puncture_tx(x, pattern)
@@ -277,31 +279,42 @@ def result_csv(result: SimResult) -> str:
     return buf.getvalue()
 
 
+def write_atomic(path: str, write) -> None:
+    """Call ``write(fh)`` on a temporary file beside ``path``, then ``os.replace`` it there.
+
+    A failed write leaves any earlier file whole and no temporary file behind.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def emit(result: SimResult, out_prefix: str, formats: tuple[str, ...] = ("json", "csv")) -> list[str]:
     """Write the result as <prefix>.json and/or <prefix>.csv; returns the paths.
 
-    Each file is written to a temporary file beside it and moved into place
-    with ``os.replace``, so a failed write leaves any earlier file whole.
+    Each file goes through :func:`write_atomic`, so a failed write leaves
+    any earlier file whole.
     """
+    def write_json(fh) -> None:
+        json.dump(result.to_json_dict(), fh, indent=2)
+        fh.write("\n")
+
+    def write_csv(fh) -> None:
+        fh.write(result_csv(result))
+
     paths = []
     for fmt in formats:
         if fmt not in ("json", "csv"):
             raise ValueError(f"unknown format {fmt!r}")
         path = f"{out_prefix}.{fmt}"
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w") as fh:
-                if fmt == "json":
-                    json.dump(result.to_json_dict(), fh, indent=2)
-                    fh.write("\n")
-                else:
-                    fh.write(result_csv(result))
-            os.replace(tmp, path)
-        except OSError as exc:
-            raise OSError(f"cannot write {path}: {exc}") from exc
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+        write_atomic(path, write_json if fmt == "json" else write_csv)
         paths.append(path)
     return paths
 

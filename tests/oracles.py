@@ -10,8 +10,12 @@ from functools import reduce
 
 import numpy as np
 
-from polarpunct.bitops import bit_reverse
 from polarpunct.codec import _boxplus, _g, _minsum, _softplus, crc_append, place_payload
+
+
+def bit_reverse_str(i: int, n: int) -> int:
+    """Reverse the ``n``-bit expansion of ``i`` by reversing its binary string."""
+    return int(format(i, f"0{n}b")[::-1], 2)
 
 
 def generator_matrix(n: int) -> np.ndarray:
@@ -21,7 +25,7 @@ def generator_matrix(n: int) -> np.ndarray:
     N = 1 << n
     B = np.zeros((N, N), dtype=np.uint8)
     for i in range(N):
-        B[i, bit_reverse(i, n)] = 1
+        B[i, bit_reverse_str(i, n)] = 1
     return (B @ Fn) % 2
 
 
@@ -66,7 +70,7 @@ def butterfly_zero_set(coded_set, n: int) -> set[int]:
     N = 1 << n
     mask = np.zeros(N, dtype=bool)
     for c in set(coded_set):
-        mask[int(format(c, f"0{n}b")[::-1], 2)] = True
+        mask[bit_reverse_str(c, n)] = True
     leaves: list[bool] = []
 
     def visit(zero: np.ndarray) -> None:
@@ -141,7 +145,7 @@ def ml_codeword_oracle(llr, spec, crc=None) -> np.ndarray:
 def _decoder_inputs(llr, spec):
     """Channel LLRs as (B, N) in decoder (bit-reversed) order, and the frozen mask."""
     n, N = spec.n, spec.size
-    perm = np.array([bit_reverse(i, n) for i in range(N)] if n else [0], dtype=np.intp)
+    perm = np.array([bit_reverse_str(i, n) for i in range(N)], dtype=np.intp)
     w = np.asarray(llr, dtype=np.float64).reshape(-1, N)[:, perm]
     frozen = np.ones(N, dtype=bool)
     frozen[list(spec.info_set)] = False

@@ -1,7 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from polarpunct.bitops import binary_expand, bit_reverse, bit_reverse_set, covers
+from polarpunct.bitops import (
+    binary_expand,
+    bit_reverse,
+    bit_reverse_set,
+    covers,
+    popcount,
+)
+from polarpunct.degrade import propagate
+
+from oracles import bit_reverse_str
 
 
 class TestBinaryExpand:
@@ -17,7 +28,7 @@ class TestBinaryExpand:
                 assert len(bits) == n
                 assert i == sum(b << (n - 1 - k) for k, b in enumerate(bits))
 
-    @pytest.mark.parametrize("n", [0, -1, 33])
+    @pytest.mark.parametrize("n", [-1, 33])
     def test_width_out_of_range(self, n):
         with pytest.raises(ValueError):
             binary_expand(0, n)
@@ -41,6 +52,69 @@ class TestBitReverse:
             assert sorted(images) == list(range(1 << n))
             for i in range(1 << n):
                 assert bit_reverse(images[i], n) == i
+
+
+    def test_array_matches_string_oracle_at_every_width(self):
+        rng = np.random.default_rng(0)
+        for n in range(33):
+            N = 1 << n
+            idx = np.unique(np.concatenate([[0, N - 1], rng.integers(0, N, 64)]))
+            rev = bit_reverse(idx, n)
+            assert rev.shape == idx.shape
+            assert rev.tolist() == [bit_reverse_str(int(i), n) for i in idx]
+            assert np.array_equal(bit_reverse(rev, n), idx)
+
+    def test_array_keeps_shape_and_int_stays_int(self):
+        idx = np.arange(8).reshape(2, 4)
+        assert bit_reverse(idx, 3).tolist() == [[0, 4, 2, 6], [1, 5, 3, 7]]
+        assert type(bit_reverse(np.int64(3), 3)) is int
+        assert bit_reverse([], 3).tolist() == []
+
+    def test_widest_width_needs_no_table(self):
+        idx = np.array([1, 5, (1 << 32) - 2])
+        tracemalloc.start()
+        try:
+            rev = bit_reverse(idx, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rev.tolist() == [1 << 31, (1 << 31) | (1 << 29), (1 << 31) - 1]
+        assert peak < 1 << 16
+
+    @pytest.mark.parametrize("bad", [1.5, [1.5, 2], [2, 2.5], np.array([2.0]), ["1"]])
+    def test_non_integer_rejected(self, bad):
+        with pytest.raises(ValueError, match="integer"):
+            bit_reverse(bad, 3)
+
+    @pytest.mark.parametrize("bad", [[8], [-1], np.array([0, 9], dtype=np.uint8)])
+    def test_array_index_out_of_width(self, bad):
+        with pytest.raises(ValueError, match="out of range"):
+            bit_reverse(bad, 3)
+
+
+class TestEdgeWidths:
+    def test_width_zero_is_the_single_index_code(self):
+        assert binary_expand(0, 0) == ()
+        assert bit_reverse(0, 0) == 0
+        assert bit_reverse(np.zeros(3, dtype=int), 0).tolist() == [0, 0, 0]
+        assert propagate({0}, 0).pairs == ((0, 0),)
+        assert propagate(set(), 0).levels == ((),)
+        with pytest.raises(ValueError):
+            bit_reverse(1, 0)
+
+    def test_width_one(self):
+        assert [binary_expand(i, 1) for i in (0, 1)] == [(0,), (1,)]
+        assert bit_reverse(np.array([0, 1]), 1).tolist() == [0, 1]
+        assert propagate({1}, 1).as_dict() == {1: 0}
+        assert propagate({0, 1}, 1).as_dict() == {0: 0, 1: 1}
+
+
+class TestPopcount:
+    def test_matches_python_count(self):
+        for n in (0, 1, 5, 12):
+            idx = np.arange(1 << n)
+            assert popcount(idx, n).tolist() == [bin(i).count("1") for i in range(1 << n)]
+        assert popcount(np.array([(1 << 32) - 1]), 32).tolist() == [32]
 
 
 class TestBitReverseSet:

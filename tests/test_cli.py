@@ -32,6 +32,15 @@ class TestPropagateCommand:
         assert run_cli("propagate", "--n", "3", "--set", "9") == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_widest_coded_domain(self, capsys):
+        assert run_cli("propagate", "--n", "32", "--set", "1,5", "--domain", "coded") == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["levels"][0] == [1 << 31, (1 << 31) | (1 << 29)]
+
+    def test_width_zero(self, capsys):
+        assert run_cli("propagate", "--n", "0", "--set", "0", "--domain", "coded") == 0
+        assert json.loads(capsys.readouterr().out)["pairs"] == [{"source": 0, "destination": 0}]
+
 
 class TestConstructCommand:
     def test_profile_json(self, tmp_path):
@@ -90,6 +99,15 @@ class TestPunctureCommand:
     def test_custom_needs_file(self, capsys):
         assert run_cli("puncture", "--n", "3", "--q", "2", "--scheme", "custom") == 1
 
+    def test_non_integer_custom_position(self, tmp_path, capsys):
+        custom = tmp_path / "f.json"
+        custom.write_text("[1.5, 2]")
+        assert run_cli("puncture", "--n", "3", "--q", "2", "--scheme", "custom",
+                       "--custom-file", str(custom)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "1.5" in err
+        assert "Traceback" not in err
+
     def test_wqp_q_too_large(self, capsys):
         assert run_cli("puncture", "--n", "3", "--q", "5", "--scheme", "wqp",
                        "--construction", "bec:0.5", "--k", "4") == 1
@@ -128,6 +146,18 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--n", "4", "--k", "40", "--sweep", "1") == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_integer_custom_position(self, tmp_path, capsys):
+        cfg = dict(n=4, k=6, construction="ga", puncturing="custom", q=1,
+                   custom_coded=[2.5], decoder="sc", channel="awgn", sweep=[3.0],
+                   max_frames=100, min_frame_errors=1000, master_seed=1, batch_size=50)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "2.5" in err
+        assert "Traceback" not in err
+
     def test_unknown_config_field(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n": 4, "coffee": True}))
@@ -152,6 +182,61 @@ class TestCompareCommand:
         assert len(lines) == 3
         assert (tmp_path / "joint_a.json").exists()
         assert (tmp_path / "joint_b.json").exists()
+
+    def test_unknown_config_field(self, tmp_path, capsys):
+        cfg = tmp_path / "a.json"
+        cfg.write_text(json.dumps({"n": 4, "k": 6, "sweep": [2.0], "coffee": True}))
+        assert run_cli("compare", "--config-a", str(cfg), "--config-b", str(cfg),
+                       "--out", str(tmp_path / "joint")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "coffee" in err
+
+
+class _FullDisk:
+    """A file whose every write fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        raise OSError("disk full")
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize("command", ["propagate", "compare"])
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, capsys, command):
+        if command == "propagate":
+            old = tmp_path / "out.json"
+            argv = ["propagate", "--n", "3", "--set", "1", "--out", str(old)]
+        else:
+            cfg = dict(n=3, k=2, construction="ga", puncturing="none", decoder="sc",
+                       channel="awgn", sweep=[2.0], max_frames=20, min_frame_errors=10,
+                       master_seed=0, batch_size=20)
+            for name in ("a.json", "b.json"):
+                (tmp_path / name).write_text(json.dumps(cfg))
+            old = tmp_path / "out.csv"
+            argv = ["compare", "--config-a", str(tmp_path / "a.json"),
+                    "--config-b", str(tmp_path / "b.json"), "--out", str(tmp_path / "out")]
+        old.write_text("earlier result\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        real_open = open
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return _FullDisk(fh) if "w" in mode else fh
+
+        monkeypatch.setattr("builtins.open", failing_open)
+        assert run_cli(*argv) == 1
+        monkeypatch.undo()
+        assert "disk full" in capsys.readouterr().err
+        assert old.read_text() == "earlier result\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 class TestEntryPoints:

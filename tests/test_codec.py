@@ -8,14 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from polarpunct.bitops import bit_reverse
+from polarpunct.bitops import bit_reversal_permutation, bit_reverse
 from polarpunct.codec import (
     CRC8_0X9B,
     CRC16_0X8005,
-    bit_reversal_permutation,
     crc_append,
     crc_check,
-    crc_check_batch,
     crc_for_width,
     crc_remainder,
     encode,
@@ -108,6 +106,14 @@ class TestEncode:
                 perm[0] = 1
 
 
+class TestEncodeProperties:
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.integers(0, 9).flatmap(lambda n: hnp.arrays(
+        np.uint8, st.tuples(st.integers(1, 3), st.just(1 << n)), elements=st.integers(0, 1))))
+    def test_encode_is_an_involution(self, u):
+        assert np.array_equal(encode(encode(u)), u)
+
+
 class TestPayloadPlacement:
     def test_round_trip(self):
         spec = select_information_set(bec_bhattacharyya(4, 0.5), 9)
@@ -164,7 +170,7 @@ class TestCrc:
     def test_batch_check_matches_scalar(self):
         rng = np.random.default_rng(8)
         frames = rng.integers(0, 2, (64, 30), dtype=np.uint8)
-        got = crc_check_batch(frames, CRC8_0X9B)
+        got = crc_check(frames, CRC8_0X9B)
         want = np.array([crc_check(f, CRC8_0X9B) for f in frames])
         assert np.array_equal(got, want)
 
@@ -177,6 +183,27 @@ class TestCrc:
     def test_unknown_poly_rejected(self):
         with pytest.raises(ValueError):
             crc_remainder([1, 0, 1], 0x9B)
+
+
+class TestCrcProperties:
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.sampled_from([CRC8_0X9B, CRC16_0X8005]),
+           st.lists(st.integers(1, 4), min_size=1, max_size=2), st.integers(1, 40), st.data())
+    def test_batched_append_check_and_remainder(self, poly, batch, k, data):
+        # (B, k) and (B, L, k) batches: every message passes after crc_append,
+        # fails with one bit flipped, and has the long-division remainder.
+        bits = data.draw(hnp.arrays(np.uint8, (*batch, k), elements=st.integers(0, 1)))
+        coded = crc_append(bits, poly)
+        assert coded.shape == (*batch, k + poly.width)
+        assert np.array_equal(coded[..., :k], bits)
+        ok = crc_check(coded, poly)
+        assert ok.shape == tuple(batch) and ok.all()
+        flip = data.draw(st.integers(0, k + poly.width - 1))
+        coded[..., flip] ^= 1
+        assert not crc_check(coded, poly).any()
+        rows = crc_remainder(bits, poly).reshape(-1, poly.width)
+        for row, msg in zip(rows, bits.reshape(-1, k)):
+            assert row.tolist() == crc_remainder_intdiv(msg, poly.width, poly.poly)
 
 
 # ------------------------------------------------------------------ SC
@@ -241,7 +268,7 @@ class TestScDecode:
                 dst = propagate({src}, n).as_dict()[src]
                 llr = rng.uniform(0.5, 3.0, N)
                 llr[bit_reverse(src, n)] = 0.0
-                _, dec = sc_decode(llr, spec, return_decision_llrs=True)
+                _, dec = sc_full_reference(llr, spec, return_decision_llrs=True)
                 assert dec[dst] == 0.0
 
     def test_min_sum_agrees_at_high_snr(self):
@@ -264,9 +291,7 @@ class TestScDecode:
             spec = _spec(n, set())
             llr = np.random.default_rng(n).normal(0, 2, (3, 1 << n))
             assert not sc_decode(llr, spec).any()
-            u_hat, dec = sc_decode(llr, spec, return_decision_llrs=True)
-            assert not u_hat.any()
-            assert np.array_equal(dec, sc_full_reference(llr, spec, return_decision_llrs=True)[1])
+            assert not sc_full_reference(llr, spec).any()
 
     def test_pruned_matches_full_reference(self):
         # Every information set at n <= 3, the empty one included, and 240
@@ -289,10 +314,6 @@ class TestScDecode:
             for min_sum in (False, True):
                 got = sc_decode(llr, spec, min_sum=min_sum)
                 assert np.array_equal(got, sc_full_reference(llr, spec, min_sum=min_sum))
-                got = sc_decode(llr, spec, min_sum=min_sum, return_decision_llrs=True)
-                want = sc_full_reference(llr, spec, min_sum=min_sum,
-                                         return_decision_llrs=True)
-                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 # ------------------------------------------------------------------ SCL

@@ -1,0 +1,63 @@
+"""Structure rules over the package source, checked on its syntax tree."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = "polarpunct"
+SRC = Path(__file__).resolve().parents[1] / "src" / PACKAGE
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads(source: str) -> list[str]:
+    """Single-underscore names a module reads from other package modules.
+
+    Covers ``from .mod import _name`` and ``mod._name`` on a module bound by
+    ``from . import mod``; dunders are exempt.
+    """
+    tree = ast.parse(source)
+    modules = {}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            base = ".".join(filter(None, [PACKAGE, node.module]))
+        elif node.module and node.module.split(".")[0] == PACKAGE:
+            base = node.module
+        else:
+            continue
+        for alias in node.names:
+            if _is_private(alias.name):
+                found.append(f"{base}.{alias.name}")
+            if base == PACKAGE:
+                modules[alias.asname or alias.name] = f"{base}.{alias.name}"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _is_private(node.attr)):
+            found.append(f"{modules[node.value.id]}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_reach_in(path):
+    assert private_reads(path.read_text()) == []
+
+
+def test_reach_in_is_detected():
+    source = (
+        "from . import codec as c, sim\n"
+        "from .construct import _popcount, __doc__\n"
+        "from polarpunct.codec import _boxplus\n"
+        "m = c._crc_matrix(8, None)\n"
+        "v = sim.__version__\n"
+        "import numpy as np\n"
+        "np._private\n"
+    )
+    assert sorted(private_reads(source)) == [
+        "polarpunct.codec._boxplus", "polarpunct.codec._crc_matrix",
+        "polarpunct.construct._popcount"]
