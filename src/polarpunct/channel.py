@@ -18,6 +18,7 @@ from .puncture import PuncturePattern
 
 AWGN = "awgn"
 BEC = "bec"
+KINDS = (AWGN, BEC)
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ class ChannelConfig:
     rate_for_ebn0: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in (AWGN, BEC):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
         if self.kind == BEC and not 0.0 <= self.param <= 1.0:
             raise ValueError(f"erasure probability must be in [0, 1], got {self.param}")

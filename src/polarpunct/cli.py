@@ -16,23 +16,24 @@ errors. Config files are JSON with the same field names as the
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
+from . import channel as chan
 from . import construct as cons
 from . import degrade, puncture, sim
 from ._version import __version__
 from .bitops import bit_reverse
 
 
-def _int_list(text: str) -> list[int]:
-    if not text.strip():
-        return []
-    return [int(tok) for tok in text.replace(",", " ").split()]
+def _numbers(text: str, kind) -> list:
+    return [kind(tok) for tok in text.replace(",", " ").split()]
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
+def _read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _write_json(payload: dict, out: str | None) -> None:
@@ -53,22 +54,6 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _make_pattern(scheme: str, args, spec, profile):
-    if scheme == "qup":
-        return puncture.qup_pattern(args.n, args.q)
-    if scheme == "wqp":
-        if spec is None or profile is None:
-            raise ValueError("wqp needs --construction and --k")
-        return puncture.wqp_pattern(spec, profile, args.q)
-    if scheme == "custom":
-        if not args.custom_file:
-            raise ValueError("custom scheme needs --custom-file")
-        with open(args.custom_file) as fh:
-            coded = json.load(fh)
-        return puncture.custom_pattern(coded, args.n)
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def _cmd_puncture(args) -> int:
     profile = spec = None
     if args.construction:
@@ -76,11 +61,12 @@ def _cmd_puncture(args) -> int:
         if args.k:
             spec = cons.select_information_set(profile, args.k + args.crc, crc_bits=args.crc)
 
+    coded = _read_json(args.custom_file) if args.custom_file else None
     schemes = args.compare.split(",") if args.compare else [args.scheme]
     entries = []
     reports = []
     for scheme in schemes:
-        pattern = _make_pattern(scheme.strip(), args, spec, profile)
+        pattern = puncture.make_pattern(scheme.strip(), args.n, args.q, spec, profile, coded)
         entry = pattern.to_json_dict()
         if spec is not None and profile is not None and profile.error_prob is not None:
             report = puncture.analyze_pattern(pattern, spec, profile)
@@ -90,17 +76,13 @@ def _cmd_puncture(args) -> int:
 
     payload: dict = {"patterns": entries}
     if len(reports) == 2:
-        delta = puncture.compare_patterns(reports[0], reports[1])
-        payload["comparison"] = {
-            "quality_loss_delta": delta.quality_loss_delta,
-            "union_bound_delta": delta.union_bound_delta,
-        }
+        payload["comparison"] = dataclasses.asdict(puncture.compare_patterns(*reports))
     _write_json(payload, args.out)
     return 0
 
 
 def _cmd_propagate(args) -> int:
-    indices = _int_list(args.set)
+    indices = _numbers(args.set, int)
     if args.domain == "coded":
         indices = bit_reverse(indices, args.n)
     pmap = degrade.propagate(indices, args.n)
@@ -109,25 +91,22 @@ def _cmd_propagate(args) -> int:
 
 
 def _config_from_args(args) -> sim.SimConfig:
-    base: dict = {}
-    if args.config:
-        with open(args.config) as fh:
-            base.update(json.load(fh))
+    base = _read_json(args.config) if args.config else {}
     overrides = {
         "n": args.n, "k": args.k, "crc_bits": args.crc,
         "construction": args.construction, "puncturing": args.puncture,
         "q": args.q, "decoder": args.decoder, "list_size": args.list_size,
         "channel": args.channel,
-        "sweep": _float_list(args.sweep) if args.sweep else None,
+        "sweep": _numbers(args.sweep, float) if args.sweep else None,
         "max_frames": args.max_frames, "min_frame_errors": args.min_errors,
         "master_seed": args.seed, "batch_size": args.batch_size,
     }
-    if getattr(args, "custom_file", None):
-        with open(args.custom_file) as fh:
-            base["custom_coded"] = json.load(fh)
-            base.setdefault("q", len(set(base["custom_coded"])))
+    if args.custom_file:
+        base["custom_coded"] = _read_json(args.custom_file)
     base.update({k: v for k, v in overrides.items() if v is not None})
     cfg = sim.SimConfig.from_json_dict(base)
+    if args.custom_file and "q" not in base:
+        cfg = dataclasses.replace(cfg, q=len(set(cfg.custom_coded or ())))
     cfg.validate()
     return cfg
 
@@ -144,15 +123,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    results = []
-    for path in (args.config_a, args.config_b):
-        with open(path) as fh:
-            cfg = sim.SimConfig.from_json_dict(json.load(fh))
+    configs = [sim.SimConfig.from_json_dict(_read_json(path))
+               for path in (args.config_a, args.config_b)]
+    for cfg in configs:
         cfg.validate()
-        results.append(sim.run_sweep(cfg, workers=args.workers))
-    a, b = results
-    if [p.sweep_param for p in a.points] != [p.sweep_param for p in b.points]:
+    if configs[0].sweep != configs[1].sweep:
         raise ValueError("the two configs must share the same sweep for a joint report")
+    a, b = (sim.run_sweep(cfg, workers=args.workers) for cfg in configs)
     lines = ["sweep_param,FER_a,BER_a,FER_b,BER_b"]
     for pa, pb in zip(a.points, b.points):
         lines.append(f"{pa.sweep_param},{pa.fer},{pa.ber},{pb.fer},{pb.ber}")
@@ -166,7 +143,7 @@ def _cmd_compare(args) -> int:
 def _add_construction_flags(p, require_k: bool) -> None:
     p.add_argument("--construction", help="bec:EPS | ga:ESN0_DB | pw[:BETA]")
     p.add_argument("--k", type=int, required=require_k, help="information bits")
-    p.add_argument("--crc", type=int, default=0, choices=(0, 8, 16))
+    p.add_argument("--crc", type=int, default=0, choices=cons.CRC_WIDTHS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("puncture", help="emit a puncture pattern and diagnostics")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--scheme", default="qup", choices=("qup", "wqp", "custom"))
+    p.add_argument("--scheme", default=puncture.QUP, choices=puncture.SCHEMES)
     p.add_argument("--custom-file", help="JSON list of coded-symbol positions")
     p.add_argument("--compare", help="comma pair of schemes, e.g. qup,wqp")
     _add_construction_flags(p, require_k=False)
@@ -202,14 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file; flags override")
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--crc", type=int, choices=(0, 8, 16))
+    p.add_argument("--crc", type=int, choices=cons.CRC_WIDTHS)
     p.add_argument("--construction")
-    p.add_argument("--puncture", choices=("none", "qup", "wqp", "custom"))
+    p.add_argument("--puncture", choices=sim.PUNCTURINGS)
     p.add_argument("--custom-file")
     p.add_argument("--q", type=int)
-    p.add_argument("--decoder", choices=("sc", "scl"))
+    p.add_argument("--decoder", choices=sim.DECODERS)
     p.add_argument("--list-size", type=int, dest="list_size")
-    p.add_argument("--channel", choices=("awgn", "bec"))
+    p.add_argument("--channel", choices=chan.KINDS)
     p.add_argument("--sweep", help="comma-separated channel parameters")
     p.add_argument("--seed", type=int)
     p.add_argument("--max-frames", type=int, dest="max_frames")

@@ -15,8 +15,8 @@ Conventions (fixed so results are bit-exact reproducible):
   ``crc_remainder``, ``crc_append`` and ``crc_check`` work over the last
   axis, so one call serves a message or a batch of any shape; all three
   multiply by one cached GF(2) remainder matrix per message length.
-* The check-node combine is the exact log-domain boxplus by default; a
-  min-sum variant sits behind the ``min_sum`` flag.
+* The check-node combine is the exact log-domain boxplus. The spec alone
+  describes the code: SCL selects by the CRC that ``spec.crc_bits`` names.
 * SCL path metrics are exact: a path extension by decision u on decision
   LLR L adds log(1 + exp(-(1 - 2u) L)), so with a full list the best
   final metric is the maximum-likelihood path.
@@ -165,17 +165,13 @@ def _boxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _minsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-
-
 def _g(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return b + (1.0 - 2.0 * c) * a
 
 
 # --------------------------------------------------------------------------- SC
 
-def sc_decode(llr, spec: PolarCodeSpec, *, min_sum: bool = False) -> np.ndarray:
+def sc_decode(llr, spec: PolarCodeSpec) -> np.ndarray:
     """Successive cancellation decoding.
 
     Parameters
@@ -203,7 +199,6 @@ def sc_decode(llr, spec: PolarCodeSpec, *, min_sum: bool = False) -> np.ndarray:
     w = llr.reshape(-1, spec.size)[:, bit_reversal_permutation(spec.n)]
     B, N = w.shape
     skip = spec.frozen_tree
-    f = _minsum if min_sum else _boxplus
     u_hat = np.zeros((B, N), dtype=np.uint8)
 
     def rec(node_llr: np.ndarray, node: int, lo: int) -> np.ndarray:
@@ -220,7 +215,7 @@ def sc_decode(llr, spec: PolarCodeSpec, *, min_sum: bool = False) -> np.ndarray:
         if skip[left]:
             x_right = rec(a + b, left + 1, lo + half)
             return np.concatenate([x_right, x_right], axis=1)
-        x_left = rec(f(a, b), left, lo)
+        x_left = rec(_boxplus(a, b), left, lo)
         if skip[left + 1]:
             return np.concatenate([x_left, np.zeros_like(x_left)], axis=1)
         x_right = rec(_g(a, b, x_left), left + 1, lo + half)
@@ -259,11 +254,10 @@ class _ListState:
     ``(dec, src)`` to a history that is traced back once, at the end.
     """
 
-    def __init__(self, w: np.ndarray, L: int, frozen: np.ndarray, f):
+    def __init__(self, w: np.ndarray, L: int, frozen: np.ndarray):
         B, N = w.shape
         self.B, self.L, self.N = B, L, N
         self.n = N.bit_length() - 1
-        self.f = f
         self.p: list[np.ndarray | None] = [w[:, None, :]] + [None] * self.n
         self.c: list[np.ndarray | None] = [None] * (self.n + 1)
         self.p_pending: list[np.ndarray | None] = [None] * (self.n + 1)
@@ -291,7 +285,7 @@ class _ListState:
             return
         half = (self.N >> d) // 2
         p = self.p[d]
-        self.p[d + 1] = self.f(p[..., :half], p[..., half:])
+        self.p[d + 1] = _boxplus(p[..., :half], p[..., half:])
         self._rec(d + 1, lo)
         self.c[d] = self.c[d + 1]
         p = self._take(self.p, self.p_pending, d)
@@ -340,20 +334,18 @@ class _ListState:
         return out
 
 
-def scl_decode(llr, spec: PolarCodeSpec, list_size: int,
-               crc: CrcPoly | None = None, *, min_sum: bool = False) -> np.ndarray:
-    """Successive cancellation list decoding with optional CRC selection.
+def scl_decode(llr, spec: PolarCodeSpec, list_size: int) -> np.ndarray:
+    """Successive cancellation list decoding, CRC-aided when the spec carries CRC bits.
 
     Keeps the ``list_size`` best paths by exact path metric (ties to the
-    lower path index). The returned path is the best-metric one passing the
-    CRC when ``crc`` is given, otherwise the best-metric path. With
-    ``list_size=1`` and no CRC the output equals :func:`sc_decode`
-    bit for bit.
+    lower path index) and returns the best-metric one that passes the CRC
+    of width ``spec.crc_bits``; with no CRC bits, or no path passing, the
+    best-metric one. Without CRC bits, ``list_size=1`` equals
+    :func:`sc_decode` bit for bit.
     """
     if list_size < 1:
         raise ValueError(f"list size must be >= 1, got {list_size}")
-    if crc is not None and spec.crc_bits != crc.width:
-        raise ValueError(f"spec carries {spec.crc_bits} CRC bits but poly width is {crc.width}")
+    crc = crc_for_width(spec.crc_bits) if spec.crc_bits else None
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape[-1] != spec.size:
         raise ValueError(f"LLR length {llr.shape[-1]} != N = {spec.size}")
@@ -361,17 +353,14 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int,
     w = llr.reshape(-1, spec.size)[:, bit_reversal_permutation(spec.n)]
     B = w.shape[0]
 
-    state = _ListState(w, list_size, spec.frozen_mask, _minsum if min_sum else _boxplus)
+    state = _ListState(w, list_size, spec.frozen_mask)
     state.run()
 
     payload = state.payloads()
     order = np.argsort(state.pm, axis=1, kind="stable")
-    if crc is None:
-        best = order[:, 0]
-    else:
-        ok_sorted = np.take_along_axis(crc_check(payload, crc), order, axis=1)
-        first_ok = np.argmax(ok_sorted, axis=1)
-        pick = np.where(ok_sorted.any(axis=1), first_ok, 0)
-        best = np.take_along_axis(order, pick[:, None], axis=1)[:, 0]
+    ok = crc_check(payload, crc) if crc is not None else np.ones(state.pm.shape, dtype=bool)
+    ok_sorted = np.take_along_axis(ok, order, axis=1)
+    pick = np.where(ok_sorted.any(axis=1), np.argmax(ok_sorted, axis=1), 0)
+    best = np.take_along_axis(order, pick[:, None], axis=1)[:, 0]
     u_best = place_payload(payload[np.arange(B), best], spec)
     return u_best.reshape(batch_shape + (spec.size,))

@@ -31,6 +31,8 @@ GA = "ga"
 PW = "pw"
 
 DEFAULT_PW_BETA = 2.0 ** 0.25
+# CRC widths a code spec may carry (0: none); codec has a polynomial for each other one.
+CRC_WIDTHS = (0, 8, 16)
 
 # Mean value where the LLR-mean transfer function switches from the
 # exponential-polynomial fit to the asymptotic tail form.
@@ -327,8 +329,8 @@ def select_information_set(profile: ReliabilityProfile, count: int,
     N = profile.size
     if not 0 < count <= N:
         raise ValueError(f"count must be in [1, {N}], got {count}")
-    if crc_bits not in (0, 8, 16):
-        raise ValueError(f"crc_bits must be 0, 8 or 16, got {crc_bits}")
+    if crc_bits not in CRC_WIDTHS:
+        raise ValueError(f"crc_bits must be one of {CRC_WIDTHS}, got {crc_bits}")
     if count <= crc_bits:
         raise ValueError("count must exceed crc_bits")
     order = profile.best_first()

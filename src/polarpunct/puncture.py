@@ -1,6 +1,7 @@
 """Puncture pattern generation and diagnostics.
 
-Two pattern families:
+Two pattern families plus explicit (custom) coded positions, each built by
+its name in :data:`SCHEMES` through :func:`make_pattern`:
 
 * QUP (quasi-uniform puncturing): source set {0, ..., Q-1}, coded symbols
   at its bit-reversed image. Channel independent.
@@ -31,6 +32,7 @@ from .degrade import propagate
 QUP = "qup"
 WQP = "wqp"
 CUSTOM = "custom"
+SCHEMES = (QUP, WQP, CUSTOM)
 
 
 class UnsupportedConfiguration(ValueError):
@@ -164,13 +166,39 @@ def custom_pattern(coded_positions: Iterable[int], n: int) -> PuncturePattern:
     """Pattern from explicit coded-symbol positions (what a radio drops).
 
     Converted internally to the bit-channel domain via bit reversal. An
-    empty position set yields the trivial q = 0 pattern. A position that is
-    not an integer raises ``ValueError`` naming it.
+    empty position set yields the trivial q = 0 pattern. Input that is not
+    a flat sequence of integers raises ``ValueError`` naming it.
     """
-    source = bit_reverse(sorted(set(coded_positions)), n)
+    try:
+        positions = sorted(set(coded_positions))
+    except TypeError:
+        raise ValueError("custom coded positions must be a flat sequence of integers, "
+                         f"got {coded_positions!r}") from None
+    source = bit_reverse(positions, n)
     if source.size >= 1 << n:
         raise ValueError("cannot puncture every coded symbol")
     return _pattern_from_source(source, n, CUSTOM)
+
+
+def make_pattern(scheme: str, n: int, q: int, spec: PolarCodeSpec | None = None,
+                 profile: ReliabilityProfile | None = None,
+                 coded_positions: Iterable[int] | None = None) -> PuncturePattern:
+    """The pattern of a :data:`SCHEMES` name; WQP needs ``spec`` and ``profile``,
+    custom needs ``q`` distinct ``coded_positions``."""
+    if scheme == QUP:
+        return qup_pattern(n, q)
+    if scheme == WQP:
+        if spec is None or profile is None:
+            raise ValueError("wqp needs a code spec and a reliability profile")
+        return wqp_pattern(spec, profile, q)
+    if scheme == CUSTOM:
+        if coded_positions is None:
+            raise ValueError("custom scheme needs coded positions")
+        pattern = custom_pattern(coded_positions, n)
+        if pattern.q != q:
+            raise ValueError(f"q={q} differs from the {pattern.q} distinct custom coded positions")
+        return pattern
+    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
 def analyze_pattern(pattern: PuncturePattern, spec: PolarCodeSpec,

@@ -32,7 +32,7 @@ from . import codec, construct, puncture
 from ._version import __version__
 
 DECODERS = ("sc", "scl")
-PUNCTURINGS = ("none", "qup", "wqp", "custom")
+PUNCTURINGS = ("none", *puncture.SCHEMES)
 
 
 @dataclass(frozen=True)
@@ -73,19 +73,19 @@ class SimConfig:
             raise ValueError(f"n must be in [1, 20], got {self.n}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.crc_bits not in (0, 8, 16):
-            raise ValueError(f"crc_bits must be 0, 8 or 16, got {self.crc_bits}")
+        if self.crc_bits not in construct.CRC_WIDTHS:
+            raise ValueError(f"crc_bits must be one of {construct.CRC_WIDTHS}, got {self.crc_bits}")
         if self.k + self.crc_bits > N:
             raise ValueError("k + crc_bits exceeds the block length")
         if self.puncturing not in PUNCTURINGS:
             raise ValueError(f"puncturing must be one of {PUNCTURINGS}")
         if self.puncturing == "none" and self.q != 0:
             raise ValueError("q must be 0 without puncturing")
-        if self.puncturing in ("qup", "wqp") and not 0 < self.q < N:
+        if self.puncturing in (puncture.QUP, puncture.WQP) and not 0 < self.q < N:
             raise ValueError(f"q must be in (0, {N}) for {self.puncturing}")
-        if self.puncturing == "wqp" and self.q > N - (self.k + self.crc_bits):
+        if self.puncturing == puncture.WQP and self.q > N - (self.k + self.crc_bits):
             raise ValueError("wqp requires q <= N - (k + crc_bits)")
-        if self.puncturing == "custom":
+        if self.puncturing == puncture.CUSTOM:
             if self.custom_coded is None:
                 raise ValueError("custom puncturing needs coded positions")
             if len(set(self.custom_coded)) != self.q:
@@ -96,10 +96,8 @@ class SimConfig:
             raise ValueError(f"decoder must be one of {DECODERS}")
         if self.decoder == "scl" and self.list_size < 1:
             raise ValueError("list_size must be >= 1")
-        if self.crc_bits:
-            codec.crc_for_width(self.crc_bits)
-        if self.channel not in (chan.AWGN, chan.BEC):
-            raise ValueError(f"channel must be awgn or bec, got {self.channel}")
+        if self.channel not in chan.KINDS:
+            raise ValueError(f"channel must be one of {chan.KINDS}, got {self.channel}")
         if not self.sweep:
             raise ValueError("sweep must contain at least one point")
         if len(set(self.sweep)) != len(self.sweep):
@@ -135,15 +133,28 @@ class SimConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SimConfig":
-        """Config from its JSON fields; an unknown field raises ``ValueError``."""
+        """Config from its JSON fields; an unknown field, or a value that does
+        not fit its field's type, raises ``ValueError`` naming the field."""
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         d = dict(d)
-        if d.get("custom_coded") is not None:
-            d["custom_coded"] = tuple(d["custom_coded"])
-        d["sweep"] = tuple(d.get("sweep", ()))
+        for f in fields(cls):
+            if f.name in d:
+                what, types, items = _JSON_TYPES[f.type]
+                value = d[f.name]
+                listed = type(value) is list
+                # type(), not isinstance(): a JSON true is no integer here.
+                if type(value) not in types or listed and any(type(x) not in items for x in value):
+                    raise ValueError(f"config field {f.name!r} must be {what}, got {value!r}")
+                d[f.name] = tuple(value) if listed else value
         return cls(**d)
+
+
+# Per SimConfig field type: what it is in JSON, its JSON types and those of its list items.
+_JSON_TYPES = {"int": ("an integer", (int,), ()), "str": ("a string", (str,), ()),
+               "tuple[float, ...]": ("a list of numbers", (list,), (int, float)),
+               "tuple[int, ...] | None": ("a list of integers or null", (list, type(None)), (int,))}
 
 
 @dataclass(frozen=True)
@@ -191,22 +202,10 @@ def build_components(cfg: SimConfig):
     cfg.validate()
     profile = construct.build_profile(cfg.construction, cfg.n, cfg.design_snr_db())
     spec = construct.select_information_set(profile, cfg.k + cfg.crc_bits, crc_bits=cfg.crc_bits)
-    if cfg.puncturing == "none":
-        pattern = None
-    elif cfg.puncturing == "qup":
-        pattern = puncture.qup_pattern(cfg.n, cfg.q)
-    elif cfg.puncturing == "wqp":
-        pattern = puncture.wqp_pattern(spec, profile, cfg.q)
-    else:
-        pattern = puncture.custom_pattern(cfg.custom_coded, cfg.n)
+    pattern = None if cfg.puncturing == "none" else puncture.make_pattern(
+        cfg.puncturing, cfg.n, cfg.q, spec, profile, cfg.custom_coded)
     crc_poly = codec.crc_for_width(cfg.crc_bits) if cfg.crc_bits else None
     return profile, spec, pattern, crc_poly
-
-
-def _decode(llr: np.ndarray, cfg: SimConfig, spec, crc_poly) -> np.ndarray:
-    if cfg.decoder == "sc":
-        return codec.sc_decode(llr, spec)
-    return codec.scl_decode(llr, spec, cfg.list_size, crc=crc_poly)
 
 
 def run_point(cfg: SimConfig, sweep_value: float, *, _components=None) -> PointResult:
@@ -231,7 +230,10 @@ def run_point(cfg: SimConfig, sweep_value: float, *, _components=None) -> PointR
         tx = x if pattern is None else chan.puncture_tx(x, pattern)
         rx = chan.transmit(tx, channel_cfg, rng)
         soft = rx if pattern is None else chan.depuncture_rx(rx, pattern)
-        u_hat = _decode(soft, cfg, spec, crc_poly)
+        if cfg.decoder == "sc":
+            u_hat = codec.sc_decode(soft, spec)
+        else:
+            u_hat = codec.scl_decode(soft, spec, cfg.list_size)
         info_hat = codec.extract_payload(u_hat, spec)[:, : cfg.k]
         errs = info_hat != info
         frame_errors += int(errs.any(axis=1).sum())

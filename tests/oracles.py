@@ -10,7 +10,7 @@ from functools import reduce
 
 import numpy as np
 
-from polarpunct.codec import _boxplus, _g, _minsum, _softplus, crc_append, place_payload
+from polarpunct.codec import _boxplus, _g, _softplus, crc_append, place_payload
 
 
 def bit_reverse_str(i: int, n: int) -> int:
@@ -152,7 +152,7 @@ def _decoder_inputs(llr, spec):
     return w, frozen
 
 
-def sc_full_reference(llr, spec, min_sum=False, return_decision_llrs=False):
+def sc_full_reference(llr, spec, return_decision_llrs=False):
     """SC decoding over all 2N - 1 nodes of the tree, Rate-0 subtrees included.
 
     This is the library's SC decoder as it was before it skipped Rate-0
@@ -164,7 +164,6 @@ def sc_full_reference(llr, spec, min_sum=False, return_decision_llrs=False):
     batch_shape = llr.shape[:-1]
     w, frozen = _decoder_inputs(llr, spec)
     B, N = w.shape
-    f = _minsum if min_sum else _boxplus
 
     u_hat = np.zeros((B, N), dtype=np.uint8)
     dec_llr = np.zeros((B, N))
@@ -180,7 +179,7 @@ def sc_full_reference(llr, spec, min_sum=False, return_decision_llrs=False):
             return u[:, None]
         half = m // 2
         a, b = node_llr[:, :half], node_llr[:, half:]
-        x_left = rec(f(a, b), lo)
+        x_left = rec(_boxplus(a, b), lo)
         x_right = rec(_g(a, b, x_left), lo + half)
         return np.concatenate([x_left ^ x_right, x_right], axis=1)
 
@@ -200,11 +199,10 @@ class _EagerListState:
     which keeps views valid after the fancy-indexed path gathers.
     """
 
-    def __init__(self, w: np.ndarray, L: int, frozen: np.ndarray, f):
+    def __init__(self, w: np.ndarray, L: int, frozen: np.ndarray):
         B, N = w.shape
         self.B, self.L, self.N = B, L, N
         self.n = N.bit_length() - 1
-        self.f = f
         self.p = [np.repeat(w[:, None, :], L, axis=1)]
         self.c = [np.zeros((B, L, N), dtype=np.uint8)]
         for d in range(1, self.n + 1):
@@ -224,7 +222,7 @@ class _EagerListState:
             self._leaf(lo)
             return
         half = (self.N >> d) // 2
-        self.p[d + 1][...] = self.f(self.p[d][..., :half], self.p[d][..., half:])
+        self.p[d + 1][...] = _boxplus(self.p[d][..., :half], self.p[d][..., half:])
         self._rec(d + 1, lo)
         self.c[d][..., :half] = self.c[d + 1]
         self.p[d + 1][...] = _g(self.p[d][..., :half], self.p[d][..., half:],
@@ -260,7 +258,7 @@ class _EagerListState:
         self.u = self.u[self._bidx, src]
 
 
-def scl_eager_reference(llr, spec, L, crc=None, min_sum=False) -> np.ndarray:
+def scl_eager_reference(llr, spec, L, crc=None) -> np.ndarray:
     """CRC-aided SCL with eager path copies: every buffer is gathered at
     every information leaf and the decisions ``u`` are carried per path.
 
@@ -275,7 +273,7 @@ def scl_eager_reference(llr, spec, L, crc=None, min_sum=False) -> np.ndarray:
     batch_shape = llr.shape[:-1]
     w, frozen = _decoder_inputs(llr, spec)
     B = w.shape[0]
-    state = _EagerListState(w, L, frozen, _minsum if min_sum else _boxplus)
+    state = _EagerListState(w, L, frozen)
     state.run()
     order = np.argsort(state.pm, axis=1, kind="stable")
     best = order[:, 0].copy()

@@ -293,7 +293,7 @@ def test_09_codec_oracles():
         payload = crc_append(rng.integers(0, 2, 4, dtype=np.uint8), CRC8_0X9B)
         x = encode(place_payload(payload, spec16))
         llr = (1.0 - 2.0 * x) + rng.normal(0, 1.6, 16)
-        assert np.array_equal(scl_decode(llr, spec16, 1 << 12, crc=CRC8_0X9B),
+        assert np.array_equal(scl_decode(llr, spec16, 1 << 12),
                               ml_codeword_oracle(llr, spec16, crc=CRC8_0X9B))
 
     # CRC long division, 500 random messages per polynomial

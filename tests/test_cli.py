@@ -1,10 +1,12 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from polarpunct.cli import main
+from polarpunct import channel, construct, puncture, sim
+from polarpunct.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -108,6 +110,22 @@ class TestPunctureCommand:
         assert err.startswith("error:") and "1.5" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["5", "[[1]]"])
+    def test_malformed_custom_file(self, tmp_path, capsys, text):
+        custom = tmp_path / "f.json"
+        custom.write_text(text)
+        assert run_cli("puncture", "--n", "3", "--q", "1", "--scheme", "custom",
+                       "--custom-file", str(custom)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "flat sequence of integers" in err
+
+    def test_custom_q_must_match_positions(self, tmp_path, capsys):
+        custom = tmp_path / "f.json"
+        custom.write_text("[1, 5]")
+        assert run_cli("puncture", "--n", "3", "--q", "3", "--scheme", "custom",
+                       "--custom-file", str(custom)) == 1
+        assert capsys.readouterr().err.startswith("error: q=3")
+
     def test_wqp_q_too_large(self, capsys):
         assert run_cli("puncture", "--n", "3", "--q", "5", "--scheme", "wqp",
                        "--construction", "bec:0.5", "--k", "4") == 1
@@ -164,6 +182,43 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--config", str(cfg_path)) == 1
         assert "coffee" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("sweep", "abc"), ("n", "4"), ("max_frames", 10.5), ("master_seed", True),
+        ("custom_coded", 5), ("custom_coded", [[1]]), ("decoder", 1),
+    ])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, field, value):
+        cfg = dict(n=4, k=6, puncturing="custom", q=1, custom_coded=[2],
+                   sweep=[3.0], max_frames=100)
+        cfg[field] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field {field!r} must be")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("5", "config field 'custom_coded'"), ("null", "custom puncturing needs coded positions")])
+    def test_malformed_custom_file(self, tmp_path, capsys, text, message):
+        custom = tmp_path / "f.json"
+        custom.write_text(text)
+        assert run_cli("simulate", "--n", "4", "--k", "6", "--puncture", "custom",
+                       "--custom-file", str(custom), "--sweep", "3",
+                       "--out", str(tmp_path / "run")) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_custom_file_sets_q(self, tmp_path):
+        custom = tmp_path / "f.json"
+        custom.write_text("[0, 8, 8]")
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--n", "4", "--k", "6", "--puncture", "custom",
+                       "--custom-file", str(custom), "--sweep", "3",
+                       "--max-frames", "50", "--out", str(out)) == 0
+        data = json.loads((tmp_path / "run.json").read_text())
+        assert data["config"]["q"] == 2
+        assert data["pattern"]["coded_set"] == [0, 8]
+
 
 class TestCompareCommand:
     def test_joint_csv(self, tmp_path):
@@ -190,6 +245,18 @@ class TestCompareCommand:
                        "--out", str(tmp_path / "joint")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "coffee" in err
+
+    def test_both_configs_validated_before_any_sweep(self, tmp_path, monkeypatch, capsys):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(json.dumps({"n": 4, "k": 6, "sweep": [2.0], "max_frames": 50}))
+        b.write_text(json.dumps({"n": 4, "k": 6, "sweep": [2.0], "coffee": True}))
+        started = []
+        monkeypatch.setattr(sim, "run_sweep", lambda cfg, workers=1: started.append(cfg))
+        assert run_cli("compare", "--config-a", str(a), "--config-b", str(b),
+                       "--out", str(tmp_path / "joint")) == 1
+        assert "coffee" in capsys.readouterr().err
+        assert started == []
 
 
 class _FullDisk:
@@ -237,6 +304,26 @@ class TestAtomicOutputs:
         assert "disk full" in capsys.readouterr().err
         assert old.read_text() == "earlier result\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def _choices(command: str, flag: str) -> tuple:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in sub.choices[command]._actions if flag in a.option_strings)
+    return tuple(action.choices)
+
+
+@pytest.mark.parametrize("command, flag, names", [
+    ("puncture", "--scheme", puncture.SCHEMES),
+    ("simulate", "--puncture", ("none", *puncture.SCHEMES)),
+    ("simulate", "--decoder", sim.DECODERS),
+    ("simulate", "--channel", channel.KINDS),
+    ("construct", "--crc", construct.CRC_WIDTHS),
+    ("puncture", "--crc", construct.CRC_WIDTHS),
+    ("simulate", "--crc", construct.CRC_WIDTHS),
+])
+def test_choices_come_from_the_library(command, flag, names):
+    assert _choices(command, flag) == names
 
 
 class TestEntryPoints:

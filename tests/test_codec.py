@@ -24,6 +24,7 @@ from polarpunct.codec import (
     scl_decode,
 )
 from polarpunct.construct import (
+    CRC_WIDTHS,
     PolarCodeSpec,
     bec_bhattacharyya,
     ga_reliability,
@@ -177,6 +178,7 @@ class TestCrc:
     def test_width_lookup(self):
         assert crc_for_width(8) is CRC8_0X9B
         assert crc_for_width(16) is CRC16_0X8005
+        assert [crc_for_width(w).width for w in CRC_WIDTHS if w] == [8, 16]
         with pytest.raises(ValueError):
             crc_for_width(12)
 
@@ -271,14 +273,6 @@ class TestScDecode:
                 _, dec = sc_full_reference(llr, spec, return_decision_llrs=True)
                 assert dec[dst] == 0.0
 
-    def test_min_sum_agrees_at_high_snr(self):
-        spec = select_information_set(ga_reliability(6, 2.0), 32)
-        rng = np.random.default_rng(13)
-        payload = rng.integers(0, 2, (20, 32), dtype=np.uint8)
-        u = place_payload(payload, spec)
-        llr = _noiseless_llr(encode(u)) + rng.normal(0, 0.5, (20, 64))
-        assert np.array_equal(sc_decode(llr, spec), sc_decode(llr, spec, min_sum=True))
-
     def test_tie_survives_information_only_node(self):
         # Both channels carry information (a Rate-1 node). Bit 0 sees
         # f(0, -1) = 0 and ties to 0; bit 1 then sees -1 + 0 < 0. Hard
@@ -311,9 +305,7 @@ class TestScDecode:
             noisy = rng.normal(0.5, 2.0, shape)
             noisy[rng.random(shape) < 0.3] = 0.0
             llr = np.concatenate([rng.integers(-2, 3, shape).astype(float), noisy])
-            for min_sum in (False, True):
-                got = sc_decode(llr, spec, min_sum=min_sum)
-                assert np.array_equal(got, sc_full_reference(llr, spec, min_sum=min_sum))
+            assert np.array_equal(sc_decode(llr, spec), sc_full_reference(llr, spec))
 
 
 # ------------------------------------------------------------------ SCL
@@ -358,14 +350,15 @@ class TestSclDecode:
             payload = crc_append(rng.integers(0, 2, k, dtype=np.uint8), crc)
             x = encode(place_payload(payload, spec))
             llr = (1.0 - 2.0 * x) * 1.0 + rng.normal(0, 1.6, x.shape)
-            got = scl_decode(llr, spec, L, crc=crc)
+            got = scl_decode(llr, spec, L)
             want = ml_codeword_oracle(llr, spec, crc=crc)
             assert np.array_equal(got, want)
 
-    def test_crc_width_mismatch_rejected(self):
-        spec = select_information_set(ga_reliability(4, 0.0), 12, crc_bits=8)
-        with pytest.raises(ValueError):
-            scl_decode(np.zeros(16), spec, 2, crc=CRC16_0X8005)
+    def test_unregistered_crc_width_rejected(self):
+        spec = PolarCodeSpec(n=4, k=4, crc_bits=4, info_set=tuple(range(8, 16)),
+                             frozen_set=tuple(range(8)), construction="fixed")
+        with pytest.raises(ValueError, match="width 4"):
+            scl_decode(np.zeros(16), spec, 2)
 
     def test_list_size_validated(self):
         spec = select_information_set(ga_reliability(3, 0.0), 4)
@@ -376,8 +369,8 @@ class TestSclDecode:
         spec = select_information_set(ga_reliability(6, 0.5), 40, crc_bits=8)
         rng = np.random.default_rng(19)
         llr = rng.normal(0, 2, (4, 64))
-        a = scl_decode(llr, spec, 8, crc=CRC8_0X9B)
-        b = scl_decode(llr, spec, 8, crc=CRC8_0X9B)
+        a = scl_decode(llr, spec, 8)
+        b = scl_decode(llr, spec, 8)
         assert np.array_equal(a, b)
 
     def test_pruned_list_matches_eager_reference(self):
@@ -404,10 +397,9 @@ class TestSclDecode:
                     noisy[rng.random(x.shape) < 0.2] = 0.0
                     integer = rng.integers(-2, 3, x.shape).astype(float)
                     llr = np.concatenate([noisy, integer])
-                    for min_sum in (False, True):
-                        got = scl_decode(llr, spec, L, crc=crc, min_sum=min_sum)
-                        want = scl_eager_reference(llr, spec, L, crc=crc, min_sum=min_sum)
-                        assert np.array_equal(got, want), (n, L, crc, min_sum)
+                    got = scl_decode(llr, spec, L)
+                    want = scl_eager_reference(llr, spec, L, crc=crc)
+                    assert np.array_equal(got, want), (n, L, crc)
 
     def test_crc_rescues_frames_sc_loses(self):
         spec = select_information_set(ga_reliability(6, 1.0), 40, crc_bits=8)
@@ -418,7 +410,7 @@ class TestSclDecode:
         x = encode(u)
         llr = (1.0 - 2.0 * x) * 1.4 + rng.normal(0, 1.3, x.shape)
         sc_err = (sc_decode(llr, spec) != u).any(axis=1).sum()
-        scl_err = (scl_decode(llr, spec, 8, crc=CRC8_0X9B) != u).any(axis=1).sum()
+        scl_err = (scl_decode(llr, spec, 8) != u).any(axis=1).sum()
         assert scl_err < sc_err
 
 
@@ -441,11 +433,10 @@ def _code_and_llrs(draw, crc_bits=0):
 
 class TestScProperties:
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
-    @given(_code_and_llrs(), st.booleans())
-    def test_pruned_equals_full_reference(self, case, min_sum):
+    @given(_code_and_llrs())
+    def test_pruned_equals_full_reference(self, case):
         spec, llr = case
-        assert np.array_equal(sc_decode(llr, spec, min_sum=min_sum),
-                              sc_full_reference(llr, spec, min_sum=min_sum))
+        assert np.array_equal(sc_decode(llr, spec), sc_full_reference(llr, spec))
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(_code_and_llrs())
@@ -466,7 +457,6 @@ class TestSclProperties:
     @given(st.one_of(_code_and_llrs(), _code_and_llrs(crc_bits=CRC8_0X9B.width)))
     def test_batch_equals_frame_by_frame(self, case):
         spec, llr = case
-        crc = CRC8_0X9B if spec.crc_bits else None
-        batch = scl_decode(llr, spec, 4, crc=crc)
-        alone = np.stack([scl_decode(frame, spec, 4, crc=crc) for frame in llr])
+        batch = scl_decode(llr, spec, 4)
+        alone = np.stack([scl_decode(frame, spec, 4) for frame in llr])
         assert np.array_equal(batch, alone)

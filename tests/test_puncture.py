@@ -18,6 +18,7 @@ from polarpunct.puncture import (
     analyze_pattern,
     compare_patterns,
     custom_pattern,
+    make_pattern,
     qup_pattern,
     wqp_pattern,
 )
@@ -153,6 +154,31 @@ class TestCustomPattern:
     def test_full_rejected(self):
         with pytest.raises(ValueError):
             custom_pattern(range(8), 3)
+
+    @pytest.mark.parametrize("positions", [5, [[1]], [1, "a"]])
+    def test_not_a_flat_integer_sequence(self, positions):
+        with pytest.raises(ValueError, match="flat sequence of integers"):
+            custom_pattern(positions, 3)
+
+
+class TestMakePattern:
+    def test_dispatches_to_each_scheme(self):
+        prof = bec_bhattacharyya(3, 0.5)
+        spec = select_information_set(prof, 4)
+        assert make_pattern("qup", 3, 4) == qup_pattern(3, 4)
+        assert make_pattern("wqp", 3, 4, spec, prof) == wqp_pattern(spec, prof, 4)
+        assert make_pattern("custom", 3, 2, coded_positions=[4, 0, 4]) == \
+            custom_pattern([0, 4], 3)
+
+    @pytest.mark.parametrize("args, message", [
+        (("wqp", 3, 4), "spec"),
+        (("custom", 3, 2), "coded positions"),
+        (("custom", 3, 2, None, None, [1]), "q=2"),
+        (("random", 3, 2), "unknown scheme"),
+    ])
+    def test_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            make_pattern(*args)
 
 
 class TestAnalyzePattern:
