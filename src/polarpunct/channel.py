@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, default_rng
 
 from .codec import LLR_SATURATION
 from .puncture import PuncturePattern
@@ -61,8 +62,8 @@ def transmit(bits, cfg: ChannelConfig, rng) -> np.ndarray:
 
     ``rng`` is a :class:`numpy.random.Generator` or an integer seed.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    if not isinstance(rng, Generator):
+        rng = default_rng(rng)
     bits = np.asarray(bits).astype(np.uint8)
     if cfg.kind == AWGN:
         sigma2 = cfg.noise_variance()

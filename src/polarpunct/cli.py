@@ -92,20 +92,12 @@ def _cmd_propagate(args) -> int:
 
 def _config_from_args(args) -> sim.SimConfig:
     base = _read_json(args.config) if args.config else {}
-    overrides = {
-        "n": args.n, "k": args.k, "crc_bits": args.crc,
-        "construction": args.construction, "puncturing": args.puncture,
-        "q": args.q, "decoder": args.decoder, "list_size": args.list_size,
-        "channel": args.channel,
-        "sweep": _numbers(args.sweep, float) if args.sweep else None,
-        "max_frames": args.max_frames, "min_frame_errors": args.min_errors,
-        "master_seed": args.seed, "batch_size": args.batch_size,
-    }
+    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(sim.SimConfig)}
+    overrides["sweep"] = _numbers(args.sweep, float) if args.sweep else None
     if args.custom_file:
-        base["custom_coded"] = _read_json(args.custom_file)
-    base.update({k: v for k, v in overrides.items() if v is not None})
-    cfg = sim.SimConfig.from_json_dict(base)
-    if args.custom_file and "q" not in base:
+        overrides["custom_coded"] = _read_json(args.custom_file)
+    cfg = sim.SimConfig.from_json_dict(base, **{k: v for k, v in overrides.items() if v is not None})
+    if args.custom_file and args.q is None and "q" not in base:
         cfg = dataclasses.replace(cfg, q=len(set(cfg.custom_coded or ())))
     cfg.validate()
     return cfg
@@ -179,18 +171,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file; flags override")
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--crc", type=int, choices=cons.CRC_WIDTHS)
+    p.add_argument("--crc", type=int, choices=cons.CRC_WIDTHS, dest="crc_bits")
     p.add_argument("--construction")
-    p.add_argument("--puncture", choices=sim.PUNCTURINGS)
+    p.add_argument("--puncture", choices=sim.PUNCTURINGS, dest="puncturing")
     p.add_argument("--custom-file")
     p.add_argument("--q", type=int)
     p.add_argument("--decoder", choices=sim.DECODERS)
     p.add_argument("--list-size", type=int, dest="list_size")
     p.add_argument("--channel", choices=chan.KINDS)
     p.add_argument("--sweep", help="comma-separated channel parameters")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, dest="master_seed")
     p.add_argument("--max-frames", type=int, dest="max_frames")
-    p.add_argument("--min-errors", type=int, dest="min_errors")
+    p.add_argument("--min-errors", type=int, dest="min_frame_errors")
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="sim_out")

@@ -21,8 +21,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import erfc
 
 from .bitops import popcount
 
@@ -210,12 +208,43 @@ def _ln_phi(x: float) -> float:
     return 0.5 * (math.log(math.pi) - math.log(x)) - x / 4.0 + math.log1p(-10.0 / (7.0 * x))
 
 
-def _phi(x: float) -> float:
-    return math.exp(_ln_phi(x))
+def _brent(f, xpre: float, xcur: float, rtol: float, xtol: float = 2e-12,
+           maxiter: int = 100) -> float:
+    """Root of ``f`` between ``xpre`` and ``xcur``, given f(xpre) > 0 >= f(xcur): scipy's
+    ``brentq`` (``Zeros/brentq.c``) step for step, same float operations, same root."""
+    fpre, fcur = f(xpre), f(xcur)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless inter- or extrapolation takes a good short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
 
 
 def _phi_inv_ln(ln_y: float) -> float:
-    """Inverse of the transfer function given log(y), by bracketed root finding."""
+    """Inverse of the transfer function given log(y); ``OverflowError`` past 2**79."""
     if ln_y >= 0.0:
         return 0.0
     hi = 1.0
@@ -224,11 +253,8 @@ def _phi_inv_ln(ln_y: float) -> float:
             break
         hi *= 2.0
     else:
-        raise RuntimeError(f"failed to bracket phi inverse for ln_y={ln_y}")
-    try:
-        return brentq(lambda x: _ln_phi(x) - ln_y, 0.0, hi, rtol=_PHI_INV_RTOL)
-    except Exception as exc:  # pragma: no cover - diagnostics path
-        raise RuntimeError(f"phi inverse did not converge for ln_y={ln_y}: {exc}") from exc
+        raise OverflowError(f"failed to bracket phi inverse for ln_y={ln_y}")
+    return _brent(lambda x: _ln_phi(x) - ln_y, 0.0, hi, _PHI_INV_RTOL)
 
 
 def ga_reliability(n: int, design_snr_db: float) -> ReliabilityProfile:
@@ -244,27 +270,27 @@ def ga_reliability(n: int, design_snr_db: float) -> ReliabilityProfile:
     where phi is the standard two-regime transfer approximation
     (exp(-0.4527 x**0.86 + 0.0218) below x = 10, the asymptotic
     sqrt(pi/x) exp(-x/4) (1 - 10/(7x)) above). The upper branch is carried
-    in the log domain so large means do not underflow. The error probability
-    is Q(sqrt(m/2)).
+    in the log domain so large means do not underflow. phi_inv is Brent's
+    method, bit-identical to scipy's ``brentq``. The error probability is
+    Q(sqrt(m/2)), by ``math.erfc``. A design SNR whose means leave the
+    floating-point range raises ``ValueError``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if not math.isfinite(design_snr_db):
         raise ValueError("design SNR must be finite")
-    sigma2 = 1.0 / (2.0 * 10.0 ** (design_snr_db / 10.0))
-    means = np.array([2.0 / sigma2])
-    for _ in range(n):
-        upper = np.empty(means.size)
-        for i, m in enumerate(means):
-            lp = _ln_phi(float(m))
+    try:
+        sigma2 = 1.0 / (2.0 * 10.0 ** (design_snr_db / 10.0))
+        means = np.array([2.0 / sigma2])
+        for _ in range(n):
             # ln(1 - (1 - phi)^2) = ln(phi) + ln(2 - phi), stable for tiny phi
-            ln_y = lp + math.log(2.0 - math.exp(lp))
-            upper[i] = _phi_inv_ln(ln_y)
-        nxt = np.empty(2 * means.size)
-        nxt[0::2] = upper
-        nxt[1::2] = 2.0 * means
-        means = nxt
-    error_prob = 0.5 * erfc(np.sqrt(means) / 2.0)  # Q(sqrt(m/2))
+            upper = [_phi_inv_ln(lp + math.log(2.0 - math.exp(lp)))
+                     for lp in map(_ln_phi, means.tolist())]
+            means = np.column_stack([upper, 2.0 * means]).ravel()
+    except ArithmeticError as exc:
+        raise ValueError(f"GA construction is out of range at design SNR {design_snr_db:g} dB: "
+                         f"{exc}") from None
+    error_prob = 0.5 * np.array([math.erfc(x) for x in np.sqrt(means) / 2.0])  # Q(sqrt(m/2))
     return ReliabilityProfile(
         n=n, method=GA, params={"design_snr_db": float(design_snr_db)},
         metric=means, error_prob=error_prob,

@@ -24,8 +24,10 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import channel as chan
 from . import codec, construct, puncture
@@ -132,13 +134,16 @@ class SimConfig:
         return d
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "SimConfig":
-        """Config from its JSON fields; an unknown field, or a value that does
-        not fit its field's type, raises ``ValueError`` naming the field."""
+    def from_json_dict(cls, d: dict, **overrides) -> "SimConfig":
+        """Config from its JSON fields, ``overrides`` replacing some. A ``d`` that is
+        no JSON object, an unknown field, or a value that does not fit its
+        field's type raises ``ValueError`` naming the field."""
+        if type(d) is not dict:
+            raise ValueError(f"a config must be a JSON object, got {d!r}")
+        d = {**d, **overrides}
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        d = dict(d)
         for f in fields(cls):
             if f.name in d:
                 what, types, items = _JSON_TYPES[f.type]
@@ -222,7 +227,7 @@ def run_point(cfg: SimConfig, sweep_value: float, *, _components=None) -> PointR
     batch_index = 0
     while frames < cfg.max_frames and frame_errors < cfg.min_frame_errors:
         B = min(cfg.batch_size, cfg.max_frames - frames)
-        rng = np.random.default_rng([cfg.master_seed, point_index, batch_index])
+        rng = default_rng([cfg.master_seed, point_index, batch_index])
         info = rng.integers(0, 2, size=(B, cfg.k), dtype=np.uint8)
         payload = info if crc_poly is None else codec.crc_append(info, crc_poly)
         u = codec.place_payload(payload, spec)
@@ -250,20 +255,16 @@ def run_point(cfg: SimConfig, sweep_value: float, *, _components=None) -> PointR
     )
 
 
-def _run_point_task(args) -> PointResult:
-    cfg, value = args
-    return run_point(cfg, value)
-
-
 def run_sweep(cfg: SimConfig, workers: int = 1) -> SimResult:
-    """Run every sweep point; points are independent and order-insensitive."""
+    """Run every sweep point on components built once; points are independent."""
     components = build_components(cfg)
-    pattern = components[2]
+    run = partial(run_point, cfg, _components=components)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = tuple(pool.map(_run_point_task, [(cfg, v) for v in cfg.sweep]))
+            points = tuple(pool.map(run, cfg.sweep))
     else:
-        points = tuple(run_point(cfg, v, _components=components) for v in cfg.sweep)
+        points = tuple(map(run, cfg.sweep))
+    pattern = components[2]
     return SimResult(config=cfg, points=points,
                      pattern=None if pattern is None else pattern.to_json_dict())
 

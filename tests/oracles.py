@@ -6,11 +6,15 @@ the library code paths it checks.
 """
 
 import itertools
+import math
 from functools import reduce
 
 import numpy as np
+from scipy.optimize import brentq
+from scipy.special import erfc
 
 from polarpunct.codec import _boxplus, _g, _softplus, crc_append, place_payload
+from polarpunct.construct import _ln_phi
 
 
 def bit_reverse_str(i: int, n: int) -> int:
@@ -97,6 +101,34 @@ def crc_remainder_intdiv(bits, width: int, poly: int) -> list[int]:
         if val >> (shift + width) & 1:
             val ^= gen << shift
     return [(val >> (width - 1 - k)) & 1 for k in range(width)]
+
+
+def phi_inv_ln_brentq(ln_y: float) -> float:
+    """Inverse of the GA transfer function given log(y), by scipy's ``brentq``
+    on the bracket [0, first power of two where ln phi <= ln y]."""
+    if ln_y >= 0.0:
+        return 0.0
+    hi = 1.0
+    for _ in range(80):
+        if _ln_phi(hi) <= ln_y:
+            break
+        hi *= 2.0
+    else:
+        raise OverflowError(f"failed to bracket phi inverse for ln_y={ln_y}")
+    return brentq(lambda x: _ln_phi(x) - ln_y, 0.0, hi, rtol=1e-9)
+
+
+def ga_brentq_reference(n: int, snr: float) -> tuple[np.ndarray, np.ndarray]:
+    """GA bit-channel means and error probabilities Q(sqrt(m/2)) at design
+    Es/N0 ``snr`` dB, with scipy's ``brentq`` and ``erfc``; only the transfer
+    function ``_ln_phi`` is the library's."""
+    sigma2 = 1.0 / (2.0 * 10.0 ** (snr / 10.0))
+    means = np.array([2.0 / sigma2])
+    for _ in range(n):
+        lps = [_ln_phi(float(m)) for m in means]
+        upper = [phi_inv_ln_brentq(lp + math.log(2.0 - math.exp(lp))) for lp in lps]
+        means = np.column_stack([upper, 2.0 * means]).ravel()
+    return means, 0.5 * erfc(np.sqrt(means) / 2.0)
 
 
 def symbol_probs_from_llr(llr):

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import subprocess
 import sys
@@ -62,6 +63,12 @@ class TestConstructCommand:
                        "--k", "10", "--crc", "8", "--out", str(out)) == 0
         data = json.loads(out.read_text())
         assert len(data["I"]) == 18
+
+    @pytest.mark.parametrize("snr", ["250", "4000"])
+    def test_ga_design_snr_out_of_range(self, capsys, snr):
+        assert run_cli("construct", "--n", "4", "--k", "2", "--construction", f"ga:{snr}") == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: GA construction is out of range at design SNR {snr} dB")
 
     def test_missing_param(self, capsys):
         assert run_cli("construct", "--n", "3", "--construction", "bec", "--k", "4") == 1
@@ -160,6 +167,18 @@ class TestSimulateCommand:
         data = json.loads((tmp_path / "run.json").read_text())
         assert data["config"]["sweep"] == [2.0]
 
+    def test_malformed_sweep_flag(self, capsys):
+        assert run_cli("simulate", "--n", "4", "--k", "6", "--sweep", "1,x") == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_empty_sweep_flag_keeps_the_file_sweep(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n": 4, "k": 6, "sweep": [3.0], "max_frames": 50}))
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--config", str(cfg_path), "--sweep", "",
+                       "--out", str(out)) == 0
+        assert json.loads((tmp_path / "run.json").read_text())["config"]["sweep"] == [3.0]
+
     def test_invalid_config_rejected(self, tmp_path, capsys):
         assert run_cli("simulate", "--n", "4", "--k", "40", "--sweep", "1") == 1
         assert "error:" in capsys.readouterr().err
@@ -197,6 +216,22 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config field {field!r} must be")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["[1]", "5"])
+    def test_config_not_an_object(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert run_cli("simulate", "--config", str(cfg_path), "--n", "4") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a config must be a JSON object")
+
+    def test_ga_design_snr_out_of_range(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n": 4, "k": 2, "construction": "ga:250", "sweep": [1]}))
+        assert run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "run")) == 1
+        assert capsys.readouterr().err.startswith("error: GA construction is out of range "
+                                                  "at design SNR 250 dB")
 
     @pytest.mark.parametrize("text, message", [
         ("5", "config field 'custom_coded'"), ("null", "custom puncturing needs coded positions")])
@@ -245,6 +280,17 @@ class TestCompareCommand:
                        "--out", str(tmp_path / "joint")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "coffee" in err
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("text", ["[1]", "5"])
+    def test_config_not_an_object(self, tmp_path, capsys, side, text):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        paths[0].write_text(json.dumps({"n": 4, "k": 6, "sweep": [2.0], "max_frames": 50}))
+        paths[1].write_text(paths[0].read_text())
+        paths[side].write_text(text)
+        assert run_cli("compare", "--config-a", str(paths[0]), "--config-b", str(paths[1]),
+                       "--out", str(tmp_path / "joint")) == 1
+        assert capsys.readouterr().err.startswith("error: a config must be a JSON object")
 
     def test_both_configs_validated_before_any_sweep(self, tmp_path, monkeypatch, capsys):
         a = tmp_path / "a.json"
@@ -324,6 +370,15 @@ def _choices(command: str, flag: str) -> tuple:
 ])
 def test_choices_come_from_the_library(command, flag, names):
     assert _choices(command, flag) == names
+
+
+def test_simulate_dests_are_config_fields():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    simulate = sub.choices["simulate"]
+    dests = {a.dest for a in simulate._actions if a.dest != "help"} | set(simulate._defaults)
+    fields = {f.name for f in dataclasses.fields(sim.SimConfig)}
+    assert dests - fields == {"config", "custom_file", "workers", "out", "format", "func"}
 
 
 class TestEntryPoints:

@@ -3,11 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import ga_brentq_reference, phi_inv_ln_brentq
 from polarpunct.bitops import covers
 from polarpunct.construct import (
     DEFAULT_PW_BETA,
+    GA,
     PolarCodeSpec,
+    ReliabilityProfile,
+    _brent,
+    _ln_phi,
+    _phi_inv_ln,
     bec_bhattacharyya,
     build_profile,
     ga_reliability,
@@ -114,6 +122,45 @@ class TestGaReliability:
     def test_design_snr_must_be_finite(self):
         with pytest.raises(ValueError):
             ga_reliability(3, float("inf"))
+
+    @pytest.mark.parametrize("snr", [250.0, 4000.0, -4000.0])
+    def test_means_out_of_range_name_the_design_snr(self, snr):
+        with pytest.raises(ValueError, match=f"design SNR {snr:g} dB"):
+            ga_reliability(4, snr)
+
+
+# n = 12 design Es/N0 values of the perfbench ``design`` workload at seed 0.
+DESIGN_SNRS_SEED0 = (-0.8241796307598458, 0.09352758711496073, 0.9808818015536134)
+
+
+class TestGaMatchesScipy:
+    """The scipy-free GA reproduces the ``brentq``/``erfc`` construction."""
+
+    @pytest.mark.parametrize("n, snr", [(10, s / 2) for s in range(-12, 17)]
+                             + [(12, s) for s in DESIGN_SNRS_SEED0])
+    def test_profile(self, n, snr):
+        prof = ga_reliability(n, snr)
+        means, error_prob = ga_brentq_reference(n, snr)
+        assert prof.metric.tobytes() == means.tobytes()
+        ref = ReliabilityProfile(n=n, method=GA, params={}, metric=means, error_prob=error_prob)
+        assert np.array_equal(prof.best_first(), ref.best_first())
+        assert np.array_equal(prof.worst_first(), ref.worst_first())
+        keep = error_prob >= 1e-300
+        np.testing.assert_allclose(prof.error_prob[keep], error_prob[keep], rtol=1e-13, atol=0)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.floats(min_value=-1e20, max_value=0.0, exclude_max=True))
+    @example(-5e-324)
+    @example(-1e-12)
+    @example(-3.2576)  # (-3.2577, -3.2331): ln phi jumps up at the split, two roots
+    @example(-3.245)
+    @example(-3.2332)
+    def test_phi_inverse_bit_for_bit(self, ln_y):
+        assert _phi_inv_ln(ln_y).hex() == phi_inv_ln_brentq(ln_y).hex()
+
+    def test_brent_gives_up_after_maxiter(self):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _brent(lambda x: _ln_phi(x) + 5.0, 0.0, 32.0, 1e-9, maxiter=1)
 
 
 def _genie_leaf_llrs(w_llr):

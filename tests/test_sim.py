@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
+from polarpunct import sim
 from polarpunct.sim import (
     CSV_COLUMNS,
     SimConfig,
@@ -139,7 +141,16 @@ class TestRunSweep:
         assert list(sweep.points) == singles
         assert sweep.pattern["scheme"] == "qup"
 
-    def test_parallel_workers_identical(self):
+    def test_parallel_workers_identical(self, monkeypatch):
+        # Forked workers inherit the patch, so a worker that rebuilt the
+        # components would raise back through the pool.
+        parent, build = os.getpid(), sim.build_components
+
+        def build_in_parent_only(cfg):
+            assert os.getpid() == parent, "a worker rebuilt the components"
+            return build(cfg)
+
+        monkeypatch.setattr(sim, "build_components", build_in_parent_only)
         cfg = tiny_cfg(max_frames=200)
         assert run_sweep(cfg, workers=2) == run_sweep(cfg, workers=1)
 

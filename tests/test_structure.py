@@ -1,6 +1,9 @@
 """Structure rules over the package source, checked on its syntax tree."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +64,12 @@ def test_reach_in_is_detected():
     assert sorted(private_reads(source)) == [
         "polarpunct.codec._boxplus", "polarpunct.codec._crc_matrix",
         "polarpunct.construct._popcount"]
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, polarpunct; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert proc.stdout.strip() == "[]"
