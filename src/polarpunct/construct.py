@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -36,6 +37,10 @@ CRC_WIDTHS = (0, 8, 16)
 # exponential-polynomial fit to the asymptotic tail form.
 _PHI_SPLIT = 10.0
 _PHI_INV_RTOL = 1e-9
+_LN_PI = math.log(math.pi)
+# Narrowest GA level solved in lockstep. A lockstep iteration costs about 65 us of numpy
+# overhead at any width, and a level takes about 9; a scalar root costs 10-20 us per channel.
+_LOCKSTEP_MIN_WIDTH = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +210,37 @@ def _ln_phi(x: float) -> float:
         return 0.0
     if x < _PHI_SPLIT:
         return -0.4527 * x ** 0.86 + 0.0218
-    return 0.5 * (math.log(math.pi) - math.log(x)) - x / 4.0 + math.log1p(-10.0 / (7.0 * x))
+    return 0.5 * (_LN_PI - math.log(x)) - x / 4.0 + math.log1p(-10.0 / (7.0 * x))
+
+
+# phi inverse brackets: 2**k for k < 80 and ln phi there, decreasing in k
+_BRACKET_X = np.array([2.0 ** k for k in range(80)])
+_BRACKET_LN_PHI = np.array([_ln_phi(x) for x in _BRACKET_X.tolist()])
+
+
+def _libm(func, x: np.ndarray, *args) -> np.ndarray:
+    """``func`` of every element of ``x`` (and of ``args``' iterables), by the scalar function.
+
+    Each value is the float the scalar call gives, bit for bit. numpy's SIMD ufuncs for
+    ``power``, ``exp``, ``log1p`` and ``log`` differ from libm in the last bit on a few per cent
+    of inputs, which would move GA roots and so the selected sets.
+    """
+    return np.fromiter(map(func, x.tolist(), *args), float, x.size)
+
+
+def _ln_phi_array(x: np.ndarray) -> np.ndarray:
+    """:func:`_ln_phi` of every element, with the same float operations in the same order."""
+    if (x < 0).any():
+        raise ValueError("mean must be >= 0")
+    out = np.zeros(x.size)
+    zero = x == 0.0
+    low = (x < _PHI_SPLIT) & ~zero
+    high = ~(low | zero)  # NaN takes the tail form, as in the scalar code
+    out[low] = -0.4527 * _libm(pow, x[low], repeat(0.86)) + 0.0218
+    xh = x[high]
+    out[high] = (0.5 * (_LN_PI - _libm(math.log, xh)) - xh / 4.0
+                 + _libm(math.log1p, -10.0 / (7.0 * xh)))
+    return out
 
 
 def _brent(f, xpre: float, xcur: float, rtol: float, xtol: float = 2e-12,
@@ -243,6 +278,80 @@ def _brent(f, xpre: float, xcur: float, rtol: float, xtol: float = 2e-12,
     raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
 
 
+def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den``, raising ``ZeroDivisionError`` where Python's float division would."""
+    if not den.all():
+        raise ZeroDivisionError("float division by zero")
+    return num / den
+
+
+def _phi_inv_ln_lockstep(ln_y: np.ndarray, maxiter: int = 100) -> np.ndarray:
+    """:func:`_phi_inv_ln` of every element of ``ln_y``, by :func:`_brent` run in lockstep.
+
+    Every element keeps its own bracket, steps and function values, takes the same float
+    operations as the scalar code, and leaves the active set on the same convergence test,
+    with the same root. The secant and inverse quadratic steps are computed only on the
+    elements that take them, so a division by zero raises where the scalar code's would;
+    overflow and NaN pass silently, as in Python floats.
+    """
+    root = np.zeros(ln_y.size)
+    idx = np.flatnonzero(~(ln_y >= 0.0))
+    if not idx.size:
+        return root
+    ln_y = ln_y[idx]
+    # first k with ln phi(2**k) <= ln y; the table decreases, NaN and -inf land past its end
+    k = np.searchsorted(-_BRACKET_LN_PHI, -ln_y)
+    if k.max() == _BRACKET_LN_PHI.size:
+        raise OverflowError(f"failed to bracket phi inverse for ln_y={ln_y[k.argmax()]}")
+    rtol, xtol = _PHI_INV_RTOL, 2e-12
+    xpre, xcur = np.zeros(idx.size), _BRACKET_X[k]
+    fpre, fcur = 0.0 - ln_y, _BRACKET_LN_PHI[k] - ln_y
+    xblk, fblk, spre, scur = (np.zeros(idx.size) for _ in range(4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(maxiter):
+            flip = (fpre != 0.0) & (fcur != 0.0) & ((fpre < 0.0) != (fcur < 0.0))
+            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+            step = xcur - xpre
+            spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                                np.where(swap, xcur, xblk))
+            fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                                np.where(swap, fcur, fblk))
+            delta = (xtol + rtol * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0.0) | (np.abs(sbis) < delta)
+            if done.any():
+                root[idx[done]] = xcur[done]
+                live = ~done
+                if not live.any():
+                    return root
+                (idx, ln_y, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis) = (
+                    a[live] for a in (idx, ln_y, xpre, xcur, xblk, fpre, fcur, fblk, spre,
+                                      scur, delta, sbis))
+            # bisect unless inter- or extrapolation takes a good short step
+            stry = np.full(idx.size, math.inf)
+            interp = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+            secant = interp & (xpre == xblk)
+            i = np.flatnonzero(secant)
+            if i.size:
+                stry[i] = _quotient(-fcur[i] * (xcur[i] - xpre[i]), fcur[i] - fpre[i])
+            i = np.flatnonzero(interp & ~secant)
+            if i.size:
+                fp, fc, fb = fpre[i], fcur[i], fblk[i]
+                dpre = _quotient(fp - fc, xpre[i] - xcur[i])
+                dblk = _quotient(fb - fc, xblk[i] - xcur[i])
+                stry[i] = _quotient(-fc * (fb * dblk - fp * dpre), dblk * dpre * (fb - fp))
+            limit, bound = np.abs(spre), 3 * np.abs(sbis) - delta
+            limit = np.where(bound < limit, bound, limit)  # Python's min: the first on ties and NaN
+            take = 2 * np.abs(stry) < limit
+            spre, scur = np.where(take, scur, sbis), np.where(take, stry, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+            fcur = _ln_phi_array(xcur) - ln_y
+    raise RuntimeError(f"Brent's method did not converge in {maxiter} iterations")
+
+
 def _phi_inv_ln(ln_y: float) -> float:
     """Inverse of the transfer function given log(y); ``OverflowError`` past 2**79."""
     if ln_y >= 0.0:
@@ -271,9 +380,11 @@ def ga_reliability(n: int, design_snr_db: float) -> ReliabilityProfile:
     (exp(-0.4527 x**0.86 + 0.0218) below x = 10, the asymptotic
     sqrt(pi/x) exp(-x/4) (1 - 10/(7x)) above). The upper branch is carried
     in the log domain so large means do not underflow. phi_inv is Brent's
-    method, bit-identical to scipy's ``brentq``. The error probability is
-    Q(sqrt(m/2)), by ``math.erfc``. A design SNR whose means leave the
-    floating-point range raises ``ValueError``.
+    method, bit-identical to scipy's ``brentq``; a level of at least
+    ``_LOCKSTEP_MIN_WIDTH`` channels solves all its roots in lockstep. Every
+    transcendental function is libm's, element by element. The error
+    probability is Q(sqrt(m/2)), by ``math.erfc``. A design SNR whose means
+    leave the floating-point range raises ``ValueError``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -284,13 +395,15 @@ def ga_reliability(n: int, design_snr_db: float) -> ReliabilityProfile:
         means = np.array([2.0 / sigma2])
         for _ in range(n):
             # ln(1 - (1 - phi)^2) = ln(phi) + ln(2 - phi), stable for tiny phi
-            upper = [_phi_inv_ln(lp + math.log(2.0 - math.exp(lp)))
-                     for lp in map(_ln_phi, means.tolist())]
+            lp = _ln_phi_array(means)
+            ln_y = lp + _libm(math.log, 2.0 - _libm(math.exp, lp))
+            upper = (_phi_inv_ln_lockstep(ln_y) if ln_y.size >= _LOCKSTEP_MIN_WIDTH
+                     else _libm(_phi_inv_ln, ln_y))
             means = np.column_stack([upper, 2.0 * means]).ravel()
     except ArithmeticError as exc:
         raise ValueError(f"GA construction is out of range at design SNR {design_snr_db:g} dB: "
                          f"{exc}") from None
-    error_prob = 0.5 * np.array([math.erfc(x) for x in np.sqrt(means) / 2.0])  # Q(sqrt(m/2))
+    error_prob = 0.5 * _libm(math.erfc, np.sqrt(means) / 2.0)  # Q(sqrt(m/2))
     return ReliabilityProfile(
         n=n, method=GA, params={"design_snr_db": float(design_snr_db)},
         metric=means, error_prob=error_prob,
@@ -359,9 +472,10 @@ def select_information_set(profile: ReliabilityProfile, count: int,
         raise ValueError(f"crc_bits must be one of {CRC_WIDTHS}, got {crc_bits}")
     if count <= crc_bits:
         raise ValueError("count must exceed crc_bits")
-    order = profile.best_first()
-    info = tuple(sorted(int(i) for i in order[:count]))
-    frozen = tuple(sorted(set(range(N)) - set(info)))
+    chosen = np.zeros(N, dtype=bool)
+    chosen[profile.best_first()[:count]] = True
+    info = tuple(np.flatnonzero(chosen).tolist())
+    frozen = tuple(np.flatnonzero(~chosen).tolist())
     params = ",".join(f"{k}={v:g}" for k, v in profile.params.items())
     return PolarCodeSpec(
         n=profile.n, k=count - crc_bits, crc_bits=crc_bits,

@@ -219,11 +219,13 @@ def analyze_pattern(pattern: PuncturePattern, spec: PolarCodeSpec,
             "quality-loss reporting needs a probability-bearing construction")
     pb = profile.error_prob
     info = spec.info_positions
-    dest = set(pattern.destination_set)
-    hit = tuple(sorted(dest & set(spec.info_set)))
+    blank = np.zeros(spec.size, dtype=bool)
+    blank[list(pattern.destination_set)] = True
+    blank_info = blank[info]
+    hit = tuple(info[blank_info].tolist())
 
     per_bit = tuple(float(0.5 - pb[d]) for _, d in pattern.pairs)
-    union = float(np.where(np.isin(info, sorted(dest)), 0.5, pb[info]).sum())
+    union = float(np.where(blank_info, 0.5, pb[info]).sum())
     return PatternReport(
         scheme=pattern.scheme, q=pattern.q,
         punctured_info_channels=hit,

@@ -118,15 +118,17 @@ def phi_inv_ln_brentq(ln_y: float) -> float:
     return brentq(lambda x: _ln_phi(x) - ln_y, 0.0, hi, rtol=1e-9)
 
 
-def ga_brentq_reference(n: int, snr: float) -> tuple[np.ndarray, np.ndarray]:
+def ga_brentq_reference(n: int, snr: float,
+                        phi_inv_ln=phi_inv_ln_brentq) -> tuple[np.ndarray, np.ndarray]:
     """GA bit-channel means and error probabilities Q(sqrt(m/2)) at design
-    Es/N0 ``snr`` dB, with scipy's ``brentq`` and ``erfc``; only the transfer
-    function ``_ln_phi`` is the library's."""
+    Es/N0 ``snr`` dB, one scalar ``phi_inv_ln`` call per channel (scipy's
+    ``brentq`` unless given) and scipy's ``erfc``; only the transfer function
+    ``_ln_phi`` is the library's."""
     sigma2 = 1.0 / (2.0 * 10.0 ** (snr / 10.0))
     means = np.array([2.0 / sigma2])
     for _ in range(n):
         lps = [_ln_phi(float(m)) for m in means]
-        upper = [phi_inv_ln_brentq(lp + math.log(2.0 - math.exp(lp))) for lp in lps]
+        upper = [phi_inv_ln(lp + math.log(2.0 - math.exp(lp))) for lp in lps]
         means = np.column_stack([upper, 2.0 * means]).ravel()
     return means, 0.5 * erfc(np.sqrt(means) / 2.0)
 

@@ -13,9 +13,13 @@ from polarpunct.construct import (
     GA,
     PolarCodeSpec,
     ReliabilityProfile,
+    _BRACKET_LN_PHI,
     _brent,
     _ln_phi,
+    _ln_phi_array,
     _phi_inv_ln,
+    _phi_inv_ln_lockstep,
+    _quotient,
     bec_bhattacharyya,
     build_profile,
     ga_reliability,
@@ -129,15 +133,22 @@ class TestGaReliability:
             ga_reliability(4, snr)
 
 
-# n = 12 design Es/N0 values of the perfbench ``design`` workload at seed 0.
+# n = 12 design Es/N0 values of the perfbench ``design`` workload at seed 0
+# and at the held-out seed 7919.
 DESIGN_SNRS_SEED0 = (-0.8241796307598458, 0.09352758711496073, 0.9808818015536134)
+DESIGN_SNRS_SEED7919 = (-1.0011813544279828, -0.04311772792884577, 0.8090815652220593)
+
+# ln y drawn for phi inverse; the explicit examples of
+# ``test_phi_inverse_bit_for_bit``, and 0, which has the root 0.
+LN_Y = st.floats(min_value=-1e20, max_value=0.0, exclude_max=True)
+LN_Y_EXAMPLES = (-5e-324, -1e-12, -3.2576, -3.245, -3.2332, 0.0)
 
 
 class TestGaMatchesScipy:
     """The scipy-free GA reproduces the ``brentq``/``erfc`` construction."""
 
     @pytest.mark.parametrize("n, snr", [(10, s / 2) for s in range(-12, 17)]
-                             + [(12, s) for s in DESIGN_SNRS_SEED0])
+                             + [(12, s) for s in DESIGN_SNRS_SEED0 + DESIGN_SNRS_SEED7919])
     def test_profile(self, n, snr):
         prof = ga_reliability(n, snr)
         means, error_prob = ga_brentq_reference(n, snr)
@@ -149,7 +160,7 @@ class TestGaMatchesScipy:
         np.testing.assert_allclose(prof.error_prob[keep], error_prob[keep], rtol=1e-13, atol=0)
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
-    @given(st.floats(min_value=-1e20, max_value=0.0, exclude_max=True))
+    @given(LN_Y)
     @example(-5e-324)
     @example(-1e-12)
     @example(-3.2576)  # (-3.2577, -3.2331): ln phi jumps up at the split, two roots
@@ -161,6 +172,58 @@ class TestGaMatchesScipy:
     def test_brent_gives_up_after_maxiter(self):
         with pytest.raises(RuntimeError, match="did not converge"):
             _brent(lambda x: _ln_phi(x) + 5.0, 0.0, 32.0, 1e-9, maxiter=1)
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.one_of(LN_Y, st.sampled_from(LN_Y_EXAMPLES),
+                              st.floats(min_value=0.0, max_value=1e3)),
+                    min_size=1, max_size=64))
+    def test_lockstep_bit_for_bit(self, ln_y):
+        # every element leaves the lockstep iteration after its own number of steps
+        roots = _phi_inv_ln_lockstep(np.array(ln_y))
+        assert [r.hex() for r in roots.tolist()] == [phi_inv_ln_brentq(v).hex() for v in ln_y]
+
+    def test_lockstep_gives_up_after_maxiter(self):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _phi_inv_ln_lockstep(np.array([-0.5, -5.0]), maxiter=1)
+
+    @pytest.mark.parametrize("bad", [-1e30, -math.inf, math.nan])
+    def test_lockstep_bracket_fails_like_the_scalar(self, bad):
+        with pytest.raises(OverflowError, match="failed to bracket"):
+            _phi_inv_ln(bad)
+        with pytest.raises(OverflowError, match="failed to bracket"):
+            _phi_inv_ln_lockstep(np.array([-1.0, bad, 0.5]))
+
+    def test_bracket_table_decreases(self):
+        # the lockstep bracket search (a sorted search) relies on it
+        assert np.all(np.diff(_BRACKET_LN_PHI) < 0)
+
+    def test_ln_phi_array_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        x = np.concatenate([[0.0, np.nextafter(10.0, 0.0), 10.0, 5e-324, math.inf, math.nan],
+                            rng.uniform(0.0, 20.0, 3000), 10.0 ** rng.uniform(-300, 300, 3000)])
+        want = np.array([_ln_phi(v) for v in x.tolist()])
+        assert _ln_phi_array(x).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="mean must be >= 0"):
+            _ln_phi_array(np.array([1.0, -1e-300]))
+
+    def test_quotient_raises_where_python_does(self):
+        assert _quotient(np.array([1.0, -3e-300]), np.array([4.0, 5e-324])).tolist() == [
+            1.0 / 4.0, -3e-300 / 5e-324]
+        for den in (0.0, -0.0):
+            with pytest.raises(ZeroDivisionError):
+                _quotient(np.array([1.0, 0.0]), np.array([2.0, den]))
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(st.floats(min_value=-40.0, max_value=40.0))
+    def test_profile_matches_the_scalar_path(self, snr):
+        # either the same bytes as one scalar root per channel, or both raise
+        try:
+            means, _ = ga_brentq_reference(10, snr, phi_inv_ln=_phi_inv_ln)
+        except ArithmeticError:
+            with pytest.raises(ValueError, match="out of range"):
+                ga_reliability(10, snr)
+            return
+        assert ga_reliability(10, snr).metric.tobytes() == means.tobytes()
 
 
 def _genie_leaf_llrs(w_llr):
