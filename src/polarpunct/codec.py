@@ -24,6 +24,7 @@ Conventions (fixed so results are bit-exact reproducible):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -171,6 +172,15 @@ def _g(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 # --------------------------------------------------------------------------- SC
 
+def _tree_order(llr, spec: PolarCodeSpec) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Channel LLRs as float64 frames ``(B, N)`` in decoding-tree (bit-reversed)
+    order, and the batch shape the decoded output takes back."""
+    llr = np.asarray(llr, dtype=np.float64)
+    if llr.shape[-1] != spec.size:
+        raise ValueError(f"LLR length {llr.shape[-1]} != N = {spec.size}")
+    return llr.reshape(-1, spec.size)[:, bit_reversal_permutation(spec.n)], llr.shape[:-1]
+
+
 def sc_decode(llr, spec: PolarCodeSpec) -> np.ndarray:
     """Successive cancellation decoding.
 
@@ -186,22 +196,20 @@ def sc_decode(llr, spec: PolarCodeSpec) -> np.ndarray:
     Returns the estimated input vector(s) ``u_hat`` with frozen zeros
     included.
 
-    Subtrees whose leaves are all frozen (Rate-0 nodes, read from
-    ``spec.frozen_tree``) are skipped: they decode to zeros without any
-    LLR being computed, and a node with a Rate-0 left child takes its g
-    step as the plain sum ``a + b``, which equals ``g(a, b, 0)`` bit for
-    bit. The output is the same as from the full tree.
+    A subtree is Rate-0 when its leaf block holds no information position.
+    Each node splits the slice ``info_set[first:last]`` of its block at the
+    midpoint by one binary search, and an empty half is a Rate-0 child.
+    Rate-0 subtrees are skipped: they decode to zeros without any LLR being
+    computed, and a node with a Rate-0 left child takes its g step as the
+    plain sum ``a + b``, which equals ``g(a, b, 0)`` bit for bit. The
+    output is the same as from the full tree.
     """
-    llr = np.asarray(llr, dtype=np.float64)
-    if llr.shape[-1] != spec.size:
-        raise ValueError(f"LLR length {llr.shape[-1]} != N = {spec.size}")
-    batch_shape = llr.shape[:-1]
-    w = llr.reshape(-1, spec.size)[:, bit_reversal_permutation(spec.n)]
+    w, batch_shape = _tree_order(llr, spec)
     B, N = w.shape
-    skip = spec.frozen_tree
+    info = spec.info_set
     u_hat = np.zeros((B, N), dtype=np.uint8)
 
-    def rec(node_llr: np.ndarray, node: int, lo: int) -> np.ndarray:
+    def rec(node_llr: np.ndarray, lo: int, first: int, last: int) -> np.ndarray:
         m = node_llr.shape[1]
         if m == 1:
             # Only information leaves are reached; frozen ones are skipped.
@@ -209,20 +217,21 @@ def sc_decode(llr, spec: PolarCodeSpec) -> np.ndarray:
             u_hat[:, lo] = u
             return u[:, None]
         half = m // 2
+        mid = lo + half
+        split = bisect_left(info, mid, first, last)
         a, b = node_llr[:, :half], node_llr[:, half:]
-        left = 2 * node + 1
         # At most one child is skipped: a node with two Rate-0 children is Rate-0.
-        if skip[left]:
-            x_right = rec(a + b, left + 1, lo + half)
+        if split == first:
+            x_right = rec(a + b, mid, split, last)
             return np.concatenate([x_right, x_right], axis=1)
-        x_left = rec(_boxplus(a, b), left, lo)
-        if skip[left + 1]:
+        x_left = rec(_boxplus(a, b), lo, first, split)
+        if split == last:
             return np.concatenate([x_left, np.zeros_like(x_left)], axis=1)
-        x_right = rec(_g(a, b, x_left), left + 1, lo + half)
+        x_right = rec(_g(a, b, x_left), mid, split, last)
         return np.concatenate([x_left ^ x_right, x_right], axis=1)
 
-    if not skip[0]:
-        rec(w, 0, 0)
+    if info:
+        rec(w, 0, 0, len(info))
     return u_hat.reshape(batch_shape + (N,))
 
 
@@ -243,12 +252,13 @@ class _ListState:
     part of the tree is computed once per frame, not once per path.
 
     A path permutation ``src`` at an information leaf reorders no buffer.
-    It is composed into the pending path index of each buffer that will be
-    read again and has more than one path (``p[d]`` while the leaf lies in
-    the left half of its depth-d node, ``c[d]`` while it lies in the right
-    half). The buffer is gathered once, at that next read, which clears the
-    index; a buffer that will only be replaced gets no index. Buffers are
-    replaced, never written in place, so they may alias each other.
+    While a leaf lies in the left half of its depth-d node, ``p[d]`` is the
+    only depth-d buffer read again; in the right half, ``c[d]`` is. So each
+    depth keeps one pending path index, for that buffer, and ``src`` is
+    composed into it when the buffer has more than one path. The buffer is
+    gathered once, at its next read, which clears the index; a buffer that
+    will only be replaced gets no index. Buffers are replaced, never
+    written in place, so they may alias each other.
 
     Decisions are not kept per path: each information leaf appends
     ``(dec, src)`` to a history that is traced back once, at the end.
@@ -260,8 +270,7 @@ class _ListState:
         self.n = N.bit_length() - 1
         self.p: list[np.ndarray | None] = [w[:, None, :]] + [None] * self.n
         self.c: list[np.ndarray | None] = [None] * (self.n + 1)
-        self.p_pending: list[np.ndarray | None] = [None] * (self.n + 1)
-        self.c_pending: list[np.ndarray | None] = [None] * (self.n + 1)
+        self.pending: list[np.ndarray | None] = [None] * (self.n + 1)
         self.frozen = frozen
         self.pm = np.full((B, L), np.inf)
         self.pm[:, 0] = 0.0
@@ -273,10 +282,10 @@ class _ListState:
     def run(self) -> None:
         self._rec(0, 0)
 
-    def _take(self, bufs: list, pending: list, d: int) -> np.ndarray:
-        if pending[d] is not None:
-            bufs[d] = bufs[d][self._bidx, pending[d]]
-            pending[d] = None
+    def _take(self, bufs: list, d: int) -> np.ndarray:
+        if self.pending[d] is not None:
+            bufs[d] = bufs[d][self._bidx, self.pending[d]]
+            self.pending[d] = None
         return bufs[d]
 
     def _rec(self, d: int, lo: int) -> None:
@@ -288,11 +297,11 @@ class _ListState:
         self.p[d + 1] = _boxplus(p[..., :half], p[..., half:])
         self._rec(d + 1, lo)
         self.c[d] = self.c[d + 1]
-        p = self._take(self.p, self.p_pending, d)
+        p = self._take(self.p, d)
         self.p[d + 1] = _g(p[..., :half], p[..., half:], self.c[d])
         self._rec(d + 1, lo + half)
         right = self.c[d + 1]
-        left = self._take(self.c, self.c_pending, d) ^ right
+        left = self._take(self.c, d) ^ right
         self.c[d] = np.concatenate([left, np.broadcast_to(right, left.shape)], axis=-1)
 
     def _leaf(self, lo: int) -> None:
@@ -316,12 +325,10 @@ class _ListState:
     def _defer(self, src: np.ndarray, lo: int) -> None:
         # Depth n is not read again after its leaf.
         for d in range(self.n):
-            if (lo >> (self.n - 1 - d)) & 1:
-                bufs, pending = self.c, self.c_pending
-            else:
-                bufs, pending = self.p, self.p_pending
-            if bufs[d].shape[1] > 1:
-                pending[d] = src if pending[d] is None else pending[d][self._bidx, src]
+            buf = self.c[d] if (lo >> (self.n - 1 - d)) & 1 else self.p[d]
+            if buf.shape[1] > 1:
+                pending = self.pending[d]
+                self.pending[d] = src if pending is None else pending[self._bidx, src]
 
     def payloads(self) -> np.ndarray:
         """Information bits of every final path, (B, L, len(history))."""
@@ -346,21 +353,14 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int) -> np.ndarray:
     if list_size < 1:
         raise ValueError(f"list size must be >= 1, got {list_size}")
     crc = crc_for_width(spec.crc_bits) if spec.crc_bits else None
-    llr = np.asarray(llr, dtype=np.float64)
-    if llr.shape[-1] != spec.size:
-        raise ValueError(f"LLR length {llr.shape[-1]} != N = {spec.size}")
-    batch_shape = llr.shape[:-1]
-    w = llr.reshape(-1, spec.size)[:, bit_reversal_permutation(spec.n)]
-    B = w.shape[0]
+    w, batch_shape = _tree_order(llr, spec)
 
     state = _ListState(w, list_size, spec.frozen_mask)
     state.run()
 
     payload = state.payloads()
-    order = np.argsort(state.pm, axis=1, kind="stable")
     ok = crc_check(payload, crc) if crc is not None else np.ones(state.pm.shape, dtype=bool)
-    ok_sorted = np.take_along_axis(ok, order, axis=1)
-    pick = np.where(ok_sorted.any(axis=1), np.argmax(ok_sorted, axis=1), 0)
-    best = np.take_along_axis(order, pick[:, None], axis=1)[:, 0]
-    u_best = place_payload(payload[np.arange(B), best], spec)
+    # CRC-valid paths first, then the lowest metric; the stable sort ties to the lower path.
+    best = np.lexsort((state.pm, ~ok))[:, 0]
+    u_best = place_payload(payload[np.arange(w.shape[0]), best], spec)
     return u_best.reshape(batch_shape + (spec.size,))

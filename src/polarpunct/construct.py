@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bitops import popcount
+from .bitops import check_index, popcount
 
 BEC_EXACT = "bec"
 GA = "ga"
@@ -32,6 +32,8 @@ PW = "pw"
 DEFAULT_PW_BETA = 2.0 ** 0.25
 # CRC widths a code spec may carry (0: none); codec has a polynomial for each other one.
 CRC_WIDTHS = (0, 8, 16)
+# Largest code width n for a profile or a simulation, which hold arrays of 2**n entries.
+MAX_CODE_WIDTH = 20
 
 # Mean value where the LLR-mean transfer function switches from the
 # exponential-polynomial fit to the asymptotic tail form.
@@ -108,10 +110,10 @@ class PolarCodeSpec:
 
     ``info_set`` holds the ``k + crc_bits`` most reliable indices under the
     construction it was derived from; ``frozen_set`` is its complement.
-    Once selected the sets stay fixed, in particular across puncturing.
-    ``info_positions``, ``frozen_tree`` and ``frozen_mask`` are read-only
-    arrays derived from the sets once per spec; they take no part in
-    equality, hashing or JSON.
+    Both are strictly ascending. Once selected the sets stay fixed, in
+    particular across puncturing. ``info_positions`` and ``frozen_mask`` are
+    read-only arrays derived from the sets once per spec; they take no part
+    in equality, hashing or JSON.
     """
 
     n: int
@@ -122,14 +124,19 @@ class PolarCodeSpec:
     construction: str
 
     def __post_init__(self):
-        N = 1 << self.n
-        info = set(self.info_set)
-        frozen = set(self.frozen_set)
-        if info & frozen:
-            raise ValueError("information and frozen sets overlap")
-        if info | frozen != set(range(N)):
+        info = check_index(self.info_set, self.n)
+        frozen = check_index(self.frozen_set, self.n)
+        for name, idx in (("information", info), ("frozen", frozen)):
+            if idx.ndim != 1 or (idx[1:] <= idx[:-1]).any():
+                raise ValueError(f"{name} set must be a strictly ascending sequence")
+        # Sizes first, so the mask is no larger than the sets.
+        if info.size + frozen.size != self.size:
             raise ValueError("information and frozen sets must partition [0, N)")
-        if len(info) != self.k + self.crc_bits:
+        is_info = np.zeros(self.size, dtype=bool)
+        is_info[info] = True
+        if is_info[frozen].any():
+            raise ValueError("information and frozen sets overlap")
+        if info.size != self.k + self.crc_bits:
             raise ValueError("information set size must equal k + crc_bits")
 
     @property
@@ -144,28 +151,12 @@ class PolarCodeSpec:
         return info
 
     @cached_property
-    def frozen_tree(self) -> np.ndarray:
-        """Which dyadic index blocks are entirely frozen, in heap order.
-
-        Entry ``2**d - 1 + j`` (``0 <= d <= n``) is True when every index of
-        block ``j`` of length ``N >> d`` is frozen: the root is entry 0, the
-        children of entry ``i`` are ``2i + 1`` and ``2i + 2``, and the last N
-        entries are the frozen mask. These are the Rate-0 nodes of the SC
-        decoding tree.
-        """
-        N = self.size
-        tree = np.zeros(2 * N - 1, dtype=bool)
-        tree[N - 1:][list(self.frozen_set)] = True
-        for d in range(self.n - 1, -1, -1):
-            lo = (1 << d) - 1
-            tree[lo:2 * lo + 1] = tree[2 * lo + 1:4 * lo + 3:2] & tree[2 * lo + 2:4 * lo + 3:2]
-        tree.setflags(write=False)
-        return tree
-
-    @property
     def frozen_mask(self) -> np.ndarray:
-        """Read-only boolean mask of the frozen set (the leaves of ``frozen_tree``)."""
-        return self.frozen_tree[self.size - 1:]
+        """Read-only boolean mask of the frozen set."""
+        mask = np.ones(self.size, dtype=bool)
+        mask[self.info_positions] = False
+        mask.setflags(write=False)
+        return mask
 
     def to_json_dict(self) -> dict:
         return {
@@ -178,6 +169,11 @@ class PolarCodeSpec:
         }
 
 
+def _check_code_width(n: int) -> None:
+    if not 0 <= n <= MAX_CODE_WIDTH:
+        raise ValueError(f"n must be in [0, {MAX_CODE_WIDTH}], got {n}")
+
+
 def bec_bhattacharyya(n: int, erasure_prob: float) -> ReliabilityProfile:
     """Exact Bhattacharyya parameters of all bit channels of a BEC.
 
@@ -186,8 +182,7 @@ def bec_bhattacharyya(n: int, erasure_prob: float) -> ReliabilityProfile:
     error probability is Z/2, the bit error probability of an erasure
     channel under a fair tie break.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_code_width(n)
     if not 0.0 <= erasure_prob <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {erasure_prob}")
     z = np.array([float(erasure_prob)])
@@ -386,8 +381,7 @@ def ga_reliability(n: int, design_snr_db: float) -> ReliabilityProfile:
     probability is Q(sqrt(m/2)), by ``math.erfc``. A design SNR whose means
     leave the floating-point range raises ``ValueError``.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_code_width(n)
     if not math.isfinite(design_snr_db):
         raise ValueError("design SNR must be finite")
     try:
@@ -414,16 +408,20 @@ def pw_reliability(n: int, beta: float = DEFAULT_PW_BETA) -> ReliabilityProfile:
     """Polarization weights: weight(i) = sum of beta**j over set bits j of i.
 
     Bit j = 0 is the LSB. Provides a reliability rank only; no error
-    probability is attached.
+    probability is attached. A beta that is not positive and finite, or
+    whose powers leave the floating-point range, raises ``ValueError``.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    _check_code_width(n)
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+    try:
+        powers = [beta ** j for j in range(n)]
+    except OverflowError:
+        raise ValueError(f"PW weights are out of range at beta {beta:g} for n = {n}") from None
     N = 1 << n
     weights = np.zeros(N)
-    for j in range(n):
-        weights[(np.arange(N) >> j) & 1 == 1] += beta ** j
+    for j, power in enumerate(powers):
+        weights[(np.arange(N) >> j) & 1 == 1] += power
     return ReliabilityProfile(n=n, method=PW, params={"beta": float(beta)}, metric=weights)
 
 

@@ -224,7 +224,7 @@ def analyze_pattern(pattern: PuncturePattern, spec: PolarCodeSpec,
     blank_info = blank[info]
     hit = tuple(info[blank_info].tolist())
 
-    per_bit = tuple(float(0.5 - pb[d]) for _, d in pattern.pairs)
+    per_bit = tuple((0.5 - pb[[d for _, d in pattern.pairs]]).tolist())
     union = float(np.where(blank_info, 0.5, pb[info]).sum())
     return PatternReport(
         scheme=pattern.scheme, q=pattern.q,

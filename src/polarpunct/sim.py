@@ -71,8 +71,8 @@ class SimConfig:
 
     def validate(self) -> None:
         N = self.size
-        if not 1 <= self.n <= 20:
-            raise ValueError(f"n must be in [1, 20], got {self.n}")
+        if not 1 <= self.n <= construct.MAX_CODE_WIDTH:
+            raise ValueError(f"n must be in [1, {construct.MAX_CODE_WIDTH}], got {self.n}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.crc_bits not in construct.CRC_WIDTHS:

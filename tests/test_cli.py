@@ -74,6 +74,18 @@ class TestConstructCommand:
         assert run_cli("construct", "--n", "3", "--construction", "bec", "--k", "4") == 1
         assert "erasure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta, message", [
+        ("1e200", "PW weights are out of range at beta 1e+200"),
+        ("inf", "beta must be positive and finite, got inf")])
+    def test_pw_beta_unusable(self, capsys, beta, message):
+        assert run_cli("construct", "--n", "3", "--k", "2", "--construction", f"pw:{beta}") == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("n", ["21", "40"])
+    def test_width_beyond_limit(self, capsys, n):
+        assert run_cli("construct", "--n", n, "--k", "2", "--construction", "pw") == 1
+        assert capsys.readouterr().err.startswith(f"error: n must be in [0, 20], got {n}")
+
 
 class TestPunctureCommand:
     def test_qup_pattern_json(self, capsys):
@@ -232,6 +244,20 @@ class TestSimulateCommand:
                        "--out", str(tmp_path / "run")) == 1
         assert capsys.readouterr().err.startswith("error: GA construction is out of range "
                                                   "at design SNR 250 dB")
+
+    @pytest.mark.parametrize("beta, message", [
+        ("1e200", "PW weights are out of range at beta 1e+200"),
+        ("inf", "beta must be positive and finite, got inf")])
+    def test_pw_beta_unusable(self, tmp_path, capsys, beta, message):
+        assert run_cli("simulate", "--n", "3", "--k", "2", "--construction", f"pw:{beta}",
+                       "--sweep", "1", "--out", str(tmp_path / "run")) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("n", ["21", "40"])
+    def test_width_beyond_limit(self, tmp_path, capsys, n):
+        assert run_cli("simulate", "--n", n, "--k", "2", "--construction", "pw",
+                       "--sweep", "1", "--out", str(tmp_path / "run")) == 1
+        assert capsys.readouterr().err.startswith(f"error: n must be in [1, 20], got {n}")
 
     @pytest.mark.parametrize("text, message", [
         ("5", "config field 'custom_coded'"), ("null", "custom puncturing needs coded positions")])

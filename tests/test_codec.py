@@ -460,3 +460,23 @@ class TestSclProperties:
         batch = scl_decode(llr, spec, 4)
         alone = np.stack([scl_decode(frame, spec, 4) for frame in llr])
         assert np.array_equal(batch, alone)
+
+
+@pytest.mark.parametrize("decode", [sc_decode, lambda llr, spec: scl_decode(llr, spec, 1)],
+                         ids=["sc", "scl"])
+class TestDecoderFrontEnd:
+    def setup_method(self):
+        self.spec = _spec(3, {3, 5, 6, 7})
+
+    def test_wrong_length_names_both(self, decode):
+        with pytest.raises(ValueError, match=r"LLR length 7 != N = 8"):
+            decode(np.zeros(7), self.spec)
+
+    @pytest.mark.parametrize("shape", [(8,), (0, 8), (2, 3, 8)])
+    def test_batch_shape_kept(self, decode, shape):
+        llr = np.random.default_rng(5).normal(1.0, 2.0, size=shape)
+        out = decode(llr, self.spec)
+        assert out.shape == shape
+        frames = llr.reshape(-1, 8)
+        alone = [decode(frame, self.spec) for frame in frames]
+        assert np.array_equal(out.reshape(-1, 8), np.array(alone, dtype=np.uint8).reshape(-1, 8))

@@ -11,6 +11,7 @@ from polarpunct.bitops import covers
 from polarpunct.construct import (
     DEFAULT_PW_BETA,
     GA,
+    MAX_CODE_WIDTH,
     PolarCodeSpec,
     ReliabilityProfile,
     _BRACKET_LN_PHI,
@@ -289,6 +290,13 @@ class TestPwReliability:
         with pytest.raises(ValueError):
             pw_reliability(3, 0.0)
 
+    @pytest.mark.parametrize("beta, message", [
+        (math.inf, "positive and finite, got inf"), (-math.inf, "positive and finite"),
+        (math.nan, "positive and finite"), (1e200, "out of range at beta 1e[+]200")])
+    def test_unusable_beta_rejected(self, beta, message):
+        with pytest.raises(ValueError, match=message):
+            pw_reliability(3, beta)
+
     def test_covering_monotone(self):
         prof = pw_reliability(6)
         w = prof.metric
@@ -380,7 +388,7 @@ class TestSpecArrays:
         assert "positions" not in repr(spec) and "tree" not in repr(spec)
         assert set(spec.to_json_dict()) == {"n", "k", "crc_bits", "I", "F", "construction"}
 
-    def test_frozen_tree_marks_all_frozen_blocks(self):
+    def test_frozen_mask_marks_frozen_set(self):
         rng = np.random.default_rng(3)
         for n in range(7):
             N = 1 << n
@@ -390,13 +398,41 @@ class TestSpecArrays:
                                      info_set=tuple(sorted(info)),
                                      frozen_set=tuple(sorted(set(range(N)) - info)),
                                      construction="explicit")
-                tree = spec.frozen_tree
-                want = [not info & set(range(j * (N >> d), (j + 1) * (N >> d)))
-                        for d in range(n + 1) for j in range(1 << d)]
-                assert tree.tolist() == want
-                assert spec.frozen_mask.tolist() == [i not in info for i in range(N)]
+                mask = spec.frozen_mask
+                assert mask.tolist() == [i not in info for i in range(N)]
                 with pytest.raises(ValueError):
-                    tree[0] = True
+                    mask[0] = True
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("info, frozen, k, message", [
+        ((3, 2), (0, 1), 2, "information set must be a strictly ascending"),
+        ((2, 3), (1, 0), 2, "frozen set must be a strictly ascending"),
+        ((2, 2, 3), (0, 1), 3, "information set must be a strictly ascending"),
+        ((-1, 3), (0, 1, 2), 2, "index -1 out of range"),
+        ((2, 4), (0, 1, 3), 2, "index 4 out of range"),
+        ((1.5, 3), (0, 1, 2), 2, "must be an integer"),
+        ((1, 2), (1, 3), 2, "overlap"),
+        ((2, 3), (0,), 2, "partition"),
+        ((2, 3), (0, 1), 3, "k [+] crc_bits"),
+    ])
+    def test_rejected(self, info, frozen, k, message):
+        with pytest.raises(ValueError, match=message):
+            PolarCodeSpec(n=2, k=k, crc_bits=0, info_set=info, frozen_set=frozen,
+                          construction="explicit")
+
+
+class TestCodeWidthLimit:
+    @pytest.mark.parametrize("build", [lambda n: bec_bhattacharyya(n, 0.5),
+                                       lambda n: ga_reliability(n, 1.0), pw_reliability],
+                             ids=["bec", "ga", "pw"])
+    @pytest.mark.parametrize("n", [-1, MAX_CODE_WIDTH + 1, 40])
+    def test_rejected_before_allocating(self, build, n):
+        with pytest.raises(ValueError, match=rf"n must be in \[0, {MAX_CODE_WIDTH}\], got {n}"):
+            build(n)
+
+    def test_pw_at_the_limit_builds(self):
+        assert pw_reliability(MAX_CODE_WIDTH).metric.size == 1 << MAX_CODE_WIDTH
 
 
 class TestParseConstruction:

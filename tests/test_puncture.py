@@ -227,6 +227,21 @@ class TestAnalyzePattern:
         for (src, dst), loss in zip(p.pairs, rep.per_bit_loss):
             assert loss == pytest.approx(0.5 - pb[dst])
 
+    def test_losses_equal_the_scalar_expression_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 13):
+            N = 1 << n
+            prof = (ga_reliability(n, float(rng.uniform(-2.0, 4.0))) if n % 2
+                    else bec_bhattacharyya(n, float(rng.uniform(0.05, 0.95))))
+            spec = select_information_set(prof, int(rng.integers(1, N + 1)))
+            pb = prof.error_prob
+            for _ in range(3):
+                p = custom_pattern(rng.choice(N, int(rng.integers(0, N)), replace=False).tolist(), n)
+                rep = analyze_pattern(p, spec, prof)
+                per_bit = [float(0.5 - pb[d]) for _, d in p.pairs]
+                assert [x.hex() for x in rep.per_bit_loss] == [x.hex() for x in per_bit]
+                assert rep.quality_loss.hex() == float(sum(per_bit)).hex()
+
     def test_pw_profile_rejected(self):
         prof = pw_reliability(3)
         spec = select_information_set(prof, 4)
