@@ -20,10 +20,21 @@ Conventions (fixed so results are bit-exact reproducible):
 * SCL path metrics are exact: a path extension by decision u on decision
   LLR L adds log(1 + exp(-(1 - 2u) L)), so with a full list the best
   final metric is the maximum-likelihood path.
+* Batched data is position-major: the encoder and both decoders index
+  their buffers (position, frame[, path]), so the two halves of a tree
+  node, ``x[:half]`` and ``x[half:]``, are each one contiguous block and
+  every node step is one vector operation over all frames. Inputs and
+  outputs keep the caller's (..., N) shape.
+* The node kernels ``_boxplus`` and ``_g`` run in leading-axis row blocks
+  of about ``_BLOCK`` elements when an operand holds more than that, so
+  their temporaries stay in cache. Blocking is bit-identical: every ufunc
+  in them is elementwise, and numpy's SIMD exp and log1p do not depend on
+  where an element sits in the array.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,6 +45,9 @@ from .bitops import bit_reversal_permutation
 from .construct import PolarCodeSpec
 
 LLR_SATURATION = 40.0
+
+# Node kernels split an operand of more than this many elements into row blocks.
+_BLOCK = 2**14
 
 
 # --------------------------------------------------------------------------- CRC
@@ -111,18 +125,37 @@ def _check_block(x: np.ndarray) -> int:
     return n
 
 
-def polar_transform(u) -> np.ndarray:
-    """Butterfly transform over GF(2) (the Kronecker-power part, no permutation)."""
+def _butterflies(u) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The butterfly transform of ``u`` as a position-major ``(N, frames)``
+    uint8 array, and the batch shape of ``u``."""
     u = np.asarray(u)
     N = u.shape[-1]
     _check_block(u)
-    x = np.ascontiguousarray(u.astype(np.uint8) & 1)
+    batch_shape = u.shape[:-1]
+    # Explicit, not -1: a reshape cannot infer a dimension of an empty batch.
+    frames = math.prod(batch_shape)
+    x = u.reshape(frames, N).T.astype(np.uint8, order="C")
+    x &= 1
     m = 2
     while m <= N:
-        v = x.reshape(-1, N // m, m)
-        v[..., : m // 2] ^= v[..., m // 2 :]
+        v = x.reshape(N // m, m, frames)
+        v[:, : m // 2] ^= v[:, m // 2 :]
         m *= 2
-    return x
+    return x, batch_shape
+
+
+def _frame_major(x: np.ndarray, batch_shape: tuple[int, ...]) -> np.ndarray:
+    """A position-major ``(N, frames)`` array in the caller's ``(..., N)`` shape.
+
+    A transposed view, not a copy, for a batch of at most one axis: a
+    consumer that gathers positions (rate matching, payload extraction)
+    then reads whole contiguous rows."""
+    return x.T.reshape(batch_shape + x.shape[:1])
+
+
+def polar_transform(u) -> np.ndarray:
+    """Butterfly transform over GF(2) (the Kronecker-power part, no permutation)."""
+    return _frame_major(*_butterflies(u))
 
 
 def encode(u) -> np.ndarray:
@@ -130,10 +163,9 @@ def encode(u) -> np.ndarray:
 
     An involution: ``encode(encode(u)) == u``.
     """
-    u = np.asarray(u)
-    n = _check_block(u)
-    w = polar_transform(u)
-    return w[..., bit_reversal_permutation(n)]
+    x, batch_shape = _butterflies(u)
+    n = x.shape[0].bit_length() - 1
+    return _frame_major(x[bit_reversal_permutation(n)], batch_shape)
 
 
 def place_payload(payload, spec: PolarCodeSpec) -> np.ndarray:
@@ -161,24 +193,50 @@ def _boxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Exactly zero when either input is zero, which keeps punctured (zero-LLR)
     positions punctured through the tree.
     """
+    if a.size > _BLOCK:
+        return _in_row_blocks(_boxplus_rows, a, b)
+    return _boxplus_rows(a, b)
+
+
+def _boxplus_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
     out += np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
     return out
 
 
 def _g(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    if a.size > _BLOCK or c.size > _BLOCK:
+        return _in_row_blocks(_g_rows, a, b, c)
+    return _g_rows(a, b, c)
+
+
+def _g_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return b + (1.0 - 2.0 * c) * a
+
+
+def _in_row_blocks(kernel, *operands: np.ndarray) -> np.ndarray:
+    """``kernel(*operands)`` computed over leading-axis row blocks of about
+    ``_BLOCK`` output elements each (at least one row), so that the
+    kernel's temporaries stay in cache. The operands share the leading axis
+    and broadcast on the others; the output is float64."""
+    out = np.empty(np.broadcast_shapes(*(x.shape for x in operands)))
+    rows = len(out)
+    step = max(1, _BLOCK * rows // out.size)
+    for i in range(0, rows, step):
+        out[i : i + step] = kernel(*(x[i : i + step] for x in operands))
+    return out
 
 
 # --------------------------------------------------------------------------- SC
 
 def _tree_order(llr, spec: PolarCodeSpec) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Channel LLRs as float64 frames ``(B, N)`` in decoding-tree (bit-reversed)
-    order, and the batch shape the decoded output takes back."""
+    """Channel LLRs as one C-contiguous float64 ``(N, B)`` array, position-major
+    in decoding-tree (bit-reversed) order, and the batch shape the decoded
+    output takes back."""
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape[-1] != spec.size:
         raise ValueError(f"LLR length {llr.shape[-1]} != N = {spec.size}")
-    return llr.reshape(-1, spec.size)[:, bit_reversal_permutation(spec.n)], llr.shape[:-1]
+    return llr.reshape(-1, spec.size).T[bit_reversal_permutation(spec.n)], llr.shape[:-1]
 
 
 def sc_decode(llr, spec: PolarCodeSpec) -> np.ndarray:
@@ -203,36 +261,39 @@ def sc_decode(llr, spec: PolarCodeSpec) -> np.ndarray:
     computed, and a node with a Rate-0 left child takes its g step as the
     plain sum ``a + b``, which equals ``g(a, b, 0)`` bit for bit. The
     output is the same as from the full tree.
+
+    Every node array is position-major ``(m, B)``, so its halves
+    ``node[:half]`` and ``node[half:]`` are contiguous blocks.
     """
     w, batch_shape = _tree_order(llr, spec)
-    B, N = w.shape
+    N, B = w.shape
     info = spec.info_set
-    u_hat = np.zeros((B, N), dtype=np.uint8)
+    u_hat = np.zeros((N, B), dtype=np.uint8)
 
     def rec(node_llr: np.ndarray, lo: int, first: int, last: int) -> np.ndarray:
-        m = node_llr.shape[1]
+        m = len(node_llr)
         if m == 1:
             # Only information leaves are reached; frozen ones are skipped.
-            u = (node_llr[:, 0] < 0).astype(np.uint8)
-            u_hat[:, lo] = u
-            return u[:, None]
+            u = (node_llr < 0).astype(np.uint8)
+            u_hat[lo] = u[0]
+            return u
         half = m // 2
         mid = lo + half
         split = bisect_left(info, mid, first, last)
-        a, b = node_llr[:, :half], node_llr[:, half:]
+        a, b = node_llr[:half], node_llr[half:]
         # At most one child is skipped: a node with two Rate-0 children is Rate-0.
         if split == first:
             x_right = rec(a + b, mid, split, last)
-            return np.concatenate([x_right, x_right], axis=1)
+            return np.concatenate([x_right, x_right])
         x_left = rec(_boxplus(a, b), lo, first, split)
         if split == last:
-            return np.concatenate([x_left, np.zeros_like(x_left)], axis=1)
+            return np.concatenate([x_left, np.zeros_like(x_left)])
         x_right = rec(_g(a, b, x_left), mid, split, last)
-        return np.concatenate([x_left ^ x_right, x_right], axis=1)
+        return np.concatenate([x_left ^ x_right, x_right])
 
     if info:
         rec(w, 0, 0, len(info))
-    return u_hat.reshape(batch_shape + (N,))
+    return _frame_major(u_hat, batch_shape)
 
 
 # --------------------------------------------------------------------------- SCL
@@ -242,14 +303,16 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 
 class _ListState:
-    """Batched list-decoder state: arrays indexed (frame, path, position).
+    """Batched list-decoder state: arrays indexed (position, frame, path).
 
     ``p[d]`` holds the LLRs and ``c[d]`` the partial sums of the active
-    node at depth d (``c[d]`` only its left half until the node combines).
-    A buffer whose path axis has size 1 holds the same values on every
-    path: ``p[0]`` (the channel LLRs) always, and every buffer computed
-    before the first information leaf. Node kernels broadcast it, so that
-    part of the tree is computed once per frame, not once per path.
+    node at depth d (``c[d]`` only its left half until the node combines),
+    position-major, so a node's halves are contiguous blocks. A buffer
+    whose path axis has size 1 holds the same values on every path:
+    ``p[0]`` (the channel LLRs) always, and every buffer computed before
+    the first information leaf. Node kernels broadcast it, so that part of
+    the tree is computed once per frame, not once per path. The path
+    metrics ``pm`` and the history below are (frame, path).
 
     A path permutation ``src`` at an information leaf reorders no buffer.
     While a leaf lies in the left half of its depth-d node, ``p[d]`` is the
@@ -265,10 +328,10 @@ class _ListState:
     """
 
     def __init__(self, w: np.ndarray, L: int, frozen: np.ndarray):
-        B, N = w.shape
+        N, B = w.shape
         self.B, self.L, self.N = B, L, N
         self.n = N.bit_length() - 1
-        self.p: list[np.ndarray | None] = [w[:, None, :]] + [None] * self.n
+        self.p: list[np.ndarray | None] = [w[..., None]] + [None] * self.n
         self.c: list[np.ndarray | None] = [None] * (self.n + 1)
         self.pending: list[np.ndarray | None] = [None] * (self.n + 1)
         self.frozen = frozen
@@ -277,14 +340,17 @@ class _ListState:
         self.history: list[tuple[np.ndarray, np.ndarray]] = []
         self._src_dtype = np.min_scalar_type(L - 1)
         self._bidx = np.arange(B)[:, None]
-        self._zero = np.zeros((B, 1, 1), dtype=np.uint8)
+        self._zero = np.zeros((1, B, 1), dtype=np.uint8)
 
     def run(self) -> None:
         self._rec(0, 0)
 
     def _take(self, bufs: list, d: int) -> np.ndarray:
         if self.pending[d] is not None:
-            bufs[d] = bufs[d][self._bidx, self.pending[d]]
+            # One gather over the flattened (frame, path) axis of every position.
+            buf = bufs[d]
+            rows = (self._bidx * self.L + self.pending[d]).ravel()
+            bufs[d] = buf.reshape(len(buf), -1).take(rows, axis=1).reshape(buf.shape)
             self.pending[d] = None
         return bufs[d]
 
@@ -294,25 +360,27 @@ class _ListState:
             return
         half = (self.N >> d) // 2
         p = self.p[d]
-        self.p[d + 1] = _boxplus(p[..., :half], p[..., half:])
+        self.p[d + 1] = _boxplus(p[:half], p[half:])
         self._rec(d + 1, lo)
         self.c[d] = self.c[d + 1]
         p = self._take(self.p, d)
-        self.p[d + 1] = _g(p[..., :half], p[..., half:], self.c[d])
+        self.p[d + 1] = _g(p[:half], p[half:], self.c[d])
         self._rec(d + 1, lo + half)
         right = self.c[d + 1]
         left = self._take(self.c, d) ^ right
-        self.c[d] = np.concatenate([left, np.broadcast_to(right, left.shape)], axis=-1)
+        self.c[d] = np.concatenate([left, np.broadcast_to(right, left.shape)])
 
     def _leaf(self, lo: int) -> None:
-        llr = self.p[self.n][..., 0]
+        llr = self.p[self.n][0]
         if self.frozen[lo]:
             self.pm = self.pm + _softplus(-llr)
             self.c[self.n] = self._zero
             return
         hard = np.broadcast_to(llr < 0, self.pm.shape)
         mag = np.abs(llr)
-        cand = np.concatenate([self.pm + _softplus(-mag), self.pm + _softplus(mag)], axis=1)
+        # softplus(mag) == mag + softplus(-mag) bit for bit for mag >= 0.
+        t = _softplus(-mag)
+        cand = np.concatenate([self.pm + t, self.pm + (mag + t)], axis=1)
         order = np.argsort(cand, axis=1, kind="stable")[:, : self.L]
         src = order % self.L
         flip = (order >= self.L).astype(np.uint8)
@@ -320,13 +388,13 @@ class _ListState:
         dec = hard[self._bidx, src].astype(np.uint8) ^ flip
         self.pm = cand[self._bidx, order]
         self.history.append((dec, src.astype(self._src_dtype)))
-        self.c[self.n] = dec[..., None]
+        self.c[self.n] = dec[None]
 
     def _defer(self, src: np.ndarray, lo: int) -> None:
         # Depth n is not read again after its leaf.
         for d in range(self.n):
             buf = self.c[d] if (lo >> (self.n - 1 - d)) & 1 else self.p[d]
-            if buf.shape[1] > 1:
+            if buf.shape[2] > 1:
                 pending = self.pending[d]
                 self.pending[d] = src if pending is None else pending[self._bidx, src]
 
@@ -362,5 +430,5 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int) -> np.ndarray:
     ok = crc_check(payload, crc) if crc is not None else np.ones(state.pm.shape, dtype=bool)
     # CRC-valid paths first, then the lowest metric; the stable sort ties to the lower path.
     best = np.lexsort((state.pm, ~ok))[:, 0]
-    u_best = place_payload(payload[np.arange(w.shape[0]), best], spec)
+    u_best = place_payload(payload[np.arange(state.B), best], spec)
     return u_best.reshape(batch_shape + (spec.size,))

@@ -218,7 +218,10 @@ def run_point(cfg: SimConfig, sweep_value: float, *, _components=None) -> PointR
     if _components is None:
         _components = build_components(cfg)
     _, spec, pattern, crc_poly = _components
-    point_index = cfg.sweep.index(sweep_value)
+    try:
+        point_index = cfg.sweep.index(sweep_value)
+    except ValueError:
+        raise ValueError(f"sweep value {sweep_value!r} is not in the sweep {cfg.sweep}") from None
     channel_cfg = chan.ChannelConfig(kind=cfg.channel, param=sweep_value,
                                      rate_for_ebn0=cfg.rate)
 
@@ -256,9 +259,16 @@ def run_point(cfg: SimConfig, sweep_value: float, *, _components=None) -> PointR
 
 
 def run_sweep(cfg: SimConfig, workers: int = 1) -> SimResult:
-    """Run every sweep point on components built once; points are independent."""
+    """Run every sweep point on components built once; points are independent.
+
+    ``workers`` processes run the points, but never more than there are
+    points; ``workers=1`` runs them in this process.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     components = build_components(cfg)
     run = partial(run_point, cfg, _components=components)
+    workers = min(workers, len(cfg.sweep))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             points = tuple(pool.map(run, cfg.sweep))

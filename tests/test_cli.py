@@ -191,6 +191,13 @@ class TestSimulateCommand:
                        "--out", str(out)) == 0
         assert json.loads((tmp_path / "run.json").read_text())["config"]["sweep"] == [3.0]
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_rejected(self, capsys, workers):
+        assert run_cli("simulate", "--n", "4", "--k", "6", "--sweep", "1",
+                       "--workers", workers) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: workers must be >= 1, got {workers}")
+
     def test_invalid_config_rejected(self, tmp_path, capsys):
         assert run_cli("simulate", "--n", "4", "--k", "40", "--sweep", "1") == 1
         assert "error:" in capsys.readouterr().err

@@ -12,6 +12,10 @@ from polarpunct.bitops import bit_reversal_permutation, bit_reverse
 from polarpunct.codec import (
     CRC8_0X9B,
     CRC16_0X8005,
+    _BLOCK,
+    _boxplus,
+    _g,
+    _softplus,
     crc_append,
     crc_check,
     crc_for_width,
@@ -105,6 +109,21 @@ class TestEncode:
             assert perm.tolist() == [bit_reverse(i, n) for i in range(1 << n)]
             with pytest.raises(ValueError):
                 perm[0] = 1
+
+
+@pytest.mark.parametrize("transform", [encode, polar_transform])
+@pytest.mark.parametrize("shape", [(8,), (0, 8), (2, 3, 8), (1,), (4, 1)])
+def test_encoder_keeps_batch_shape(transform, shape):
+    # Position-major inside, the caller's (..., N) layout outside; an empty
+    # batch and N = 1 included.
+    N = shape[-1]
+    u = np.random.default_rng(23).integers(0, 2, shape, dtype=np.uint8)
+    x = transform(u)
+    assert x.shape == shape and x.dtype == np.uint8
+    G = generator_matrix(N.bit_length() - 1)
+    if transform is polar_transform:
+        G = G[:, bit_reversal_permutation(N.bit_length() - 1)]
+    assert np.array_equal(x, u @ G % 2)
 
 
 class TestEncodeProperties:
@@ -208,6 +227,79 @@ class TestCrcProperties:
             assert row.tolist() == crc_remainder_intdiv(msg, poly.width, poly.poly)
 
 
+# ------------------------------------------------------------------ node kernels
+
+def _boxplus_formula(a, b):
+    """The exact boxplus written out once, unblocked, as the decoders define it."""
+    out = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+    out += np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
+    return out
+
+
+def _g_formula(a, b, c):
+    return b + (1.0 - 2.0 * c) * a
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def _kernel_operands(draw):
+    """Operands ``a`` and ``b`` of shape (rows, frames[, paths_ab]) and partial
+    sums ``c`` of shape (rows, frames[, paths_c]), sized around ``_BLOCK``:
+    one row of exactly or more than a block, row counts a block does not
+    divide, and one or L paths on either side. LLRs mix noise, integers and
+    exact zeros."""
+    frames = draw(st.sampled_from([1, 5, 700, 2100, _BLOCK, _BLOCK + 3]))
+    L = draw(st.sampled_from([1, 3, 8]))
+    paths_ab, paths_c = draw(st.sampled_from([(1, L), (L, 1), (L, L)]))
+    rows = draw(st.integers(1, max(1, 3 * _BLOCK // (frames * L)) + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()) and paths_ab == paths_c == 1:
+        ab_shape = c_shape = (rows, frames)
+    else:
+        ab_shape, c_shape = (rows, frames, paths_ab), (rows, frames, paths_c)
+
+    def llrs():
+        x = rng.normal(0.0, 8.0, ab_shape)
+        pick = rng.random(ab_shape)
+        x[pick < 0.3] = rng.integers(-3, 4, ab_shape)[pick < 0.3]
+        x[pick < 0.1] = 0.0
+        return x
+
+    return llrs(), llrs(), rng.integers(0, 2, c_shape, dtype=np.uint8)
+
+
+class TestNodeKernels:
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(_kernel_operands())
+    def test_blocked_kernels_equal_the_unblocked_formula(self, ops):
+        a, b, c = ops
+        box = _boxplus(a, b)
+        assert box.shape == a.shape
+        assert np.array_equal(_bits(box), _bits(_boxplus_formula(a, b)))
+        # A zero input stays exactly zero through the check node.
+        assert not box[(a == 0) | (b == 0)].any()
+        g = _g(a, b, c)
+        want = _g_formula(a, b, c)
+        assert g.shape == want.shape
+        assert np.array_equal(_bits(g), _bits(want))
+
+    def test_softplus_identity_is_bitwise(self):
+        # The SCL leaf takes softplus(m) as m + softplus(-m) for m >= 0.
+        tiny = np.finfo(np.float64).tiny
+        m = np.concatenate([
+            [0.0, 5e-324, 1e-320, tiny / 2, tiny, 1e-300, 1e-16, 0.5, np.log(2.0), 1.0,
+             36.7, 37.0, 40.0, 709.0, 710.0, 745.2, 1e16, 1e300, 1e308,
+             np.finfo(np.float64).max, np.inf],
+            np.random.default_rng(25).uniform(0.0, 50.0, 10_000),
+            10.0 ** np.random.default_rng(26).uniform(-320.0, 308.0, 10_000),
+        ])
+        assert np.array_equal(_bits(_softplus(m)), _bits(m + _softplus(-m)))
+        assert _softplus(np.float64(0.0)) == np.log(2.0)
+
+
 # ------------------------------------------------------------------ SC
 
 def _noiseless_llr(x):
@@ -272,6 +364,18 @@ class TestScDecode:
                 llr[bit_reverse(src, n)] = 0.0
                 _, dec = sc_full_reference(llr, spec, return_decision_llrs=True)
                 assert dec[dst] == 0.0
+
+    def test_blocked_batch_matches_full_reference(self):
+        # 160 frames at n = 8: the top node halves hold 128 * 160 elements,
+        # more than one kernel block.
+        assert 128 * 160 > _BLOCK
+        rng = np.random.default_rng(27)
+        spec = select_information_set(ga_reliability(8, 1.0), 93)
+        x = encode(place_payload(rng.integers(0, 2, (160, 93), dtype=np.uint8), spec))
+        llr = (1.0 - 2.0 * x) * 1.5 + rng.normal(0.0, 1.5, x.shape)
+        llr[:, rng.choice(256, 70, replace=False)] = 0.0
+        llr[::4] = np.round(llr[::4])
+        assert np.array_equal(sc_decode(llr, spec), sc_full_reference(llr, spec))
 
     def test_tie_survives_information_only_node(self):
         # Both channels carry information (a Rate-1 node). Bit 0 sees
@@ -400,6 +504,22 @@ class TestSclDecode:
                     got = scl_decode(llr, spec, L)
                     want = scl_eager_reference(llr, spec, L, crc=crc)
                     assert np.array_equal(got, want), (n, L, crc)
+
+    def test_blocked_list_matches_eager_reference(self):
+        # 40 frames, L = 8 at n = 7: the root's g step meets 8-path partial
+        # sums of 64 * 40 * 8 elements, more than one kernel block.
+        assert 64 * 40 * 8 > _BLOCK
+        rng = np.random.default_rng(28)
+        crc = CRC8_0X9B
+        spec = select_information_set(ga_reliability(7, 1.0), 48 + crc.width,
+                                      crc_bits=crc.width)
+        payload = crc_append(rng.integers(0, 2, (40, 48), dtype=np.uint8), crc)
+        x = encode(place_payload(payload, spec))
+        llr = (1.0 - 2.0 * x) * 1.2 + rng.normal(0.0, 1.5, x.shape)
+        llr[:, rng.choice(128, 30, replace=False)] = 0.0
+        llr[::4] = np.round(llr[::4])
+        got = scl_decode(llr, spec, 8)
+        assert np.array_equal(got, scl_eager_reference(llr, spec, 8, crc=crc))
 
     def test_crc_rescues_frames_sc_loses(self):
         spec = select_information_set(ga_reliability(6, 1.0), 40, crc_bits=8)

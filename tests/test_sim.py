@@ -125,6 +125,10 @@ class TestRunPoint:
         cfg = tiny_cfg(sweep=(0.0,), max_frames=250, min_frame_errors=10_000)
         assert run_point(cfg, 0.0).frames == 250
 
+    def test_value_outside_the_sweep_named(self):
+        with pytest.raises(ValueError, match=r"sweep value 3\.0 is not in the sweep \(2\.0, 4\.0\)"):
+            run_point(tiny_cfg(), 3.0)
+
     def test_early_stop_on_frame_errors(self):
         cfg = tiny_cfg(sweep=(-5.0,), max_frames=100_000, min_frame_errors=30,
                        batch_size=50)
@@ -153,6 +157,35 @@ class TestRunSweep:
         monkeypatch.setattr(sim, "build_components", build_in_parent_only)
         cfg = tiny_cfg(max_frames=200)
         assert run_sweep(cfg, workers=2) == run_sweep(cfg, workers=1)
+
+    @pytest.mark.parametrize("workers, started", [(2, 2), (5000, 2), (1, None)])
+    def test_no_more_workers_than_points(self, monkeypatch, workers, started):
+        # The stand-in pool records its size and runs the points in this
+        # process, so no worker process is started at all.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        cfg = tiny_cfg(max_frames=100)
+        assert run_sweep(cfg, workers=workers) == run_sweep(cfg)
+        assert sizes == ([] if started is None else [started])
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, monkeypatch, workers):
+        monkeypatch.setattr(sim, "build_components", lambda cfg: pytest.fail("built"))
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_sweep(tiny_cfg(), workers=workers)
 
     def test_fer_decreases_with_snr(self):
         cfg = tiny_cfg(puncturing="wqp", q=8, sweep=(0.0, 5.0), max_frames=2000,
