@@ -9,6 +9,7 @@ value otherwise. Dropped coded symbols reappear at the receiver as LLR 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,16 @@ class ChannelConfig:
             raise ValueError(f"unknown channel kind {self.kind!r}")
         if self.kind == BEC and not 0.0 <= self.param <= 1.0:
             raise ValueError(f"erasure probability must be in [0, 1], got {self.param}")
-        if self.kind == AWGN and not 0.0 < self.rate_for_ebn0 <= 1.0:
-            raise ValueError(f"rate must be in (0, 1], got {self.rate_for_ebn0}")
+        if self.kind == AWGN:
+            if not 0.0 < self.rate_for_ebn0 <= 1.0:
+                raise ValueError(f"rate must be in (0, 1], got {self.rate_for_ebn0}")
+            try:
+                sigma2 = self.noise_variance()
+            except ArithmeticError:  # 10**(param/10) overflows, or underflows to 0
+                sigma2 = math.nan
+            if not (math.isfinite(self.param) and 0.0 < sigma2 < math.inf):
+                raise ValueError(f"Eb/N0 of {self.param} dB gives no finite positive "
+                                 "noise variance")
 
     def noise_variance(self) -> float:
         if self.kind != AWGN:

@@ -20,6 +20,12 @@ Conventions (fixed so results are bit-exact reproducible):
 * SCL path metrics are exact: a path extension by decision u on decision
   LLR L adds log(1 + exp(-(1 - 2u) L)), so with a full list the best
   final metric is the maximum-likelihood path.
+* SCL is SC's depth-first recursion with a path axis. Each subtree
+  returns its partial sums and its path permutation (``None`` when it
+  holds no information leaf). A buffer misses exactly the permutations of
+  the subtree decoded between its write and its one later read, so it is
+  gathered at most once, by those alone, and an information leaf
+  reorders no buffer.
 * Batched data is position-major: the encoder and both decoders index
   their buffers (position, frame[, path]), so the two halves of a tree
   node, ``x[:half]`` and ``x[half:]``, are each one contiguous block and
@@ -302,113 +308,6 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-class _ListState:
-    """Batched list-decoder state: arrays indexed (position, frame, path).
-
-    ``p[d]`` holds the LLRs and ``c[d]`` the partial sums of the active
-    node at depth d (``c[d]`` only its left half until the node combines),
-    position-major, so a node's halves are contiguous blocks. A buffer
-    whose path axis has size 1 holds the same values on every path:
-    ``p[0]`` (the channel LLRs) always, and every buffer computed before
-    the first information leaf. Node kernels broadcast it, so that part of
-    the tree is computed once per frame, not once per path. The path
-    metrics ``pm`` and the history below are (frame, path).
-
-    A path permutation ``src`` at an information leaf reorders no buffer.
-    While a leaf lies in the left half of its depth-d node, ``p[d]`` is the
-    only depth-d buffer read again; in the right half, ``c[d]`` is. So each
-    depth keeps one pending path index, for that buffer, and ``src`` is
-    composed into it when the buffer has more than one path. The buffer is
-    gathered once, at its next read, which clears the index; a buffer that
-    will only be replaced gets no index. Buffers are replaced, never
-    written in place, so they may alias each other.
-
-    Decisions are not kept per path: each information leaf appends
-    ``(dec, src)`` to a history that is traced back once, at the end.
-    """
-
-    def __init__(self, w: np.ndarray, L: int, frozen: np.ndarray):
-        N, B = w.shape
-        self.B, self.L, self.N = B, L, N
-        self.n = N.bit_length() - 1
-        self.p: list[np.ndarray | None] = [w[..., None]] + [None] * self.n
-        self.c: list[np.ndarray | None] = [None] * (self.n + 1)
-        self.pending: list[np.ndarray | None] = [None] * (self.n + 1)
-        self.frozen = frozen
-        self.pm = np.full((B, L), np.inf)
-        self.pm[:, 0] = 0.0
-        self.history: list[tuple[np.ndarray, np.ndarray]] = []
-        self._src_dtype = np.min_scalar_type(L - 1)
-        self._bidx = np.arange(B)[:, None]
-        self._zero = np.zeros((1, B, 1), dtype=np.uint8)
-
-    def run(self) -> None:
-        self._rec(0, 0)
-
-    def _take(self, bufs: list, d: int) -> np.ndarray:
-        if self.pending[d] is not None:
-            # One gather over the flattened (frame, path) axis of every position.
-            buf = bufs[d]
-            rows = (self._bidx * self.L + self.pending[d]).ravel()
-            bufs[d] = buf.reshape(len(buf), -1).take(rows, axis=1).reshape(buf.shape)
-            self.pending[d] = None
-        return bufs[d]
-
-    def _rec(self, d: int, lo: int) -> None:
-        if d == self.n:
-            self._leaf(lo)
-            return
-        half = (self.N >> d) // 2
-        p = self.p[d]
-        self.p[d + 1] = _boxplus(p[:half], p[half:])
-        self._rec(d + 1, lo)
-        self.c[d] = self.c[d + 1]
-        p = self._take(self.p, d)
-        self.p[d + 1] = _g(p[:half], p[half:], self.c[d])
-        self._rec(d + 1, lo + half)
-        right = self.c[d + 1]
-        left = self._take(self.c, d) ^ right
-        self.c[d] = np.concatenate([left, np.broadcast_to(right, left.shape)])
-
-    def _leaf(self, lo: int) -> None:
-        llr = self.p[self.n][0]
-        if self.frozen[lo]:
-            self.pm = self.pm + _softplus(-llr)
-            self.c[self.n] = self._zero
-            return
-        hard = np.broadcast_to(llr < 0, self.pm.shape)
-        mag = np.abs(llr)
-        # softplus(mag) == mag + softplus(-mag) bit for bit for mag >= 0.
-        t = _softplus(-mag)
-        cand = np.concatenate([self.pm + t, self.pm + (mag + t)], axis=1)
-        order = np.argsort(cand, axis=1, kind="stable")[:, : self.L]
-        src = order % self.L
-        flip = (order >= self.L).astype(np.uint8)
-        self._defer(src, lo)
-        dec = hard[self._bidx, src].astype(np.uint8) ^ flip
-        self.pm = cand[self._bidx, order]
-        self.history.append((dec, src.astype(self._src_dtype)))
-        self.c[self.n] = dec[None]
-
-    def _defer(self, src: np.ndarray, lo: int) -> None:
-        # Depth n is not read again after its leaf.
-        for d in range(self.n):
-            buf = self.c[d] if (lo >> (self.n - 1 - d)) & 1 else self.p[d]
-            if buf.shape[2] > 1:
-                pending = self.pending[d]
-                self.pending[d] = src if pending is None else pending[self._bidx, src]
-
-    def payloads(self) -> np.ndarray:
-        """Information bits of every final path, (B, L, len(history))."""
-        out = np.empty((self.B, self.L, len(self.history)), dtype=np.uint8)
-        path = np.broadcast_to(np.arange(self.L), (self.B, self.L))
-        for k in range(len(self.history) - 1, -1, -1):
-            dec, src = self.history[k]
-            out[..., k] = dec[self._bidx, path]
-            path = src[self._bidx, path]
-        return out
-
-
 def scl_decode(llr, spec: PolarCodeSpec, list_size: int) -> np.ndarray:
     """Successive cancellation list decoding, CRC-aided when the spec carries CRC bits.
 
@@ -417,18 +316,86 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int) -> np.ndarray:
     of width ``spec.crc_bits``; with no CRC bits, or no path passing, the
     best-metric one. Without CRC bits, ``list_size=1`` equals
     :func:`sc_decode` bit for bit.
+
+    Node buffers are position-major ``(m, frame, path)``. A buffer whose
+    path axis has size 1 holds the same values on every path: the channel
+    LLRs always, and every buffer computed before the first information
+    leaf. Node kernels broadcast it, so that part of the tree is computed
+    once per frame, not once per path.
+
+    Each subtree returns its partial sums and its path permutation: a
+    (frame, path) array that names, for each path after the subtree, the
+    path before it that it extends, or ``None`` when the subtree holds no
+    information leaf. No buffer is reordered when a leaf reorders the
+    paths. The walk is depth first, so a node's LLRs miss exactly the left
+    subtree's permutation before its g step reads them, and its left
+    partial sums miss exactly the right subtree's before they are
+    combined. Each buffer is gathered at most once, by the permutations it
+    missed, right before its one later read.
+
+    Decisions are not kept per path: each information leaf appends
+    ``(dec, src)`` to a history that is traced back once, at the end.
     """
     if list_size < 1:
         raise ValueError(f"list size must be >= 1, got {list_size}")
     crc = crc_for_width(spec.crc_bits) if spec.crc_bits else None
     w, batch_shape = _tree_order(llr, spec)
+    B, L = w.shape[1], list_size
+    frozen = spec.frozen_mask
+    pm = np.full((B, L), np.inf)
+    pm[:, 0] = 0.0
+    history: list[tuple[np.ndarray, np.ndarray]] = []
+    src_dtype = np.min_scalar_type(L - 1)
+    bidx = np.arange(B)[:, None]
+    zero = np.zeros((1, B, 1), dtype=np.uint8)
 
-    state = _ListState(w, list_size, spec.frozen_mask)
-    state.run()
+    def gather(buf: np.ndarray, perm: np.ndarray | None) -> np.ndarray:
+        if perm is None or buf.shape[2] == 1:
+            return buf
+        # One gather over the flattened (frame, path) axis of every position.
+        rows = (bidx * L + perm).ravel()
+        return buf.reshape(len(buf), -1).take(rows, axis=1).reshape(buf.shape)
 
-    payload = state.payloads()
-    ok = crc_check(payload, crc) if crc is not None else np.ones(state.pm.shape, dtype=bool)
+    def rec(p: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray | None]:
+        nonlocal pm
+        m = len(p)
+        if m == 1:
+            llr = p[0]
+            if frozen[lo]:
+                pm = pm + _softplus(-llr)
+                return zero, None
+            hard = np.broadcast_to(llr < 0, pm.shape)
+            mag = np.abs(llr)
+            # softplus(mag) == mag + softplus(-mag) bit for bit for mag >= 0.
+            t = _softplus(-mag)
+            cand = np.concatenate([pm + t, pm + (mag + t)], axis=1)
+            order = np.argsort(cand, axis=1, kind="stable")[:, :L]
+            src = order % L
+            dec = hard[bidx, src].astype(np.uint8) ^ (order >= L).astype(np.uint8)
+            pm = cand[bidx, order]
+            history.append((dec, src.astype(src_dtype)))
+            return dec[None], src
+        half = m // 2
+        x_left, left = rec(_boxplus(p[:half], p[half:]), lo)
+        p = gather(p, left)
+        x_right, right = rec(_g(p[:half], p[half:], x_left), lo + half)
+        x_left = gather(x_left, right) ^ x_right
+        x = np.concatenate([x_left, np.broadcast_to(x_right, x_left.shape)])
+        if left is None or right is None:
+            return x, right if left is None else left
+        return x, left[bidx, right]
+
+    rec(w[..., None], 0)
+
+    # Trace every final path's information bits back through the history.
+    payload = np.empty((B, L, len(history)), dtype=np.uint8)
+    path = np.broadcast_to(np.arange(L), (B, L))
+    for i in range(len(history) - 1, -1, -1):
+        dec, src = history[i]
+        payload[..., i] = dec[bidx, path]
+        path = src[bidx, path]
+    ok = crc_check(payload, crc) if crc is not None else np.ones(pm.shape, dtype=bool)
     # CRC-valid paths first, then the lowest metric; the stable sort ties to the lower path.
-    best = np.lexsort((state.pm, ~ok))[:, 0]
-    u_best = place_payload(payload[np.arange(state.B), best], spec)
+    best = np.lexsort((pm, ~ok))[:, 0]
+    u_best = place_payload(payload[np.arange(B), best], spec)
     return u_best.reshape(batch_shape + (spec.size,))

@@ -92,6 +92,9 @@ class SimConfig:
                 raise ValueError("custom puncturing needs coded positions")
             if len(set(self.custom_coded)) != self.q:
                 raise ValueError("q must match the number of custom coded positions")
+        elif self.custom_coded is not None:
+            raise ValueError(f"custom coded positions need puncturing 'custom', "
+                             f"got {self.puncturing!r}")
         if self.k > self.transmitted:
             raise ValueError("more information bits than transmitted symbols")
         if self.decoder not in DECODERS:
@@ -104,13 +107,16 @@ class SimConfig:
             raise ValueError("sweep must contain at least one point")
         if len(set(self.sweep)) != len(self.sweep):
             raise ValueError("sweep points must be distinct")
-        if self.channel == chan.BEC and not all(0.0 <= e <= 1.0 for e in self.sweep):
-            raise ValueError("BEC sweep points must be erasure probabilities in [0, 1]")
+        for value in self.sweep:
+            self.channel_config(value)  # rejects a point out of the channel's range
         if self.max_frames < 1 or self.min_frame_errors < 1 or self.batch_size < 1:
             raise ValueError("max_frames, min_frame_errors and batch_size must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
         self.design_snr_db()  # rejects a malformed construction string
+
+    def channel_config(self, sweep_value: float) -> chan.ChannelConfig:
+        return chan.ChannelConfig(kind=self.channel, param=sweep_value, rate_for_ebn0=self.rate)
 
     def design_snr_db(self) -> float | None:
         """Design Es/N0 for the GA construction.
@@ -222,8 +228,7 @@ def run_point(cfg: SimConfig, sweep_value: float, *, _components=None) -> PointR
         point_index = cfg.sweep.index(sweep_value)
     except ValueError:
         raise ValueError(f"sweep value {sweep_value!r} is not in the sweep {cfg.sweep}") from None
-    channel_cfg = chan.ChannelConfig(kind=cfg.channel, param=sweep_value,
-                                     rate_for_ebn0=cfg.rate)
+    channel_cfg = cfg.channel_config(sweep_value)
 
     start = time.perf_counter()
     frames = frame_errors = bit_errors = 0

@@ -20,6 +20,11 @@ class TestChannelConfig:
         cfg = ChannelConfig(AWGN, 3.0, rate_for_ebn0=0.5)
         assert cfg.noise_variance() == pytest.approx(1.0 / (2 * 0.5 * 10 ** 0.3))
 
+    @pytest.mark.parametrize("ebn0_db", [-300.0, -30.0, 30.0, 300.0])
+    def test_noise_variance_at_extreme_finite_points(self, ebn0_db):
+        cfg = ChannelConfig(AWGN, ebn0_db, rate_for_ebn0=0.5)
+        assert cfg.noise_variance() == 1.0 / (2.0 * 0.5 * 10.0 ** (ebn0_db / 10.0))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ChannelConfig("fading", 1.0)
@@ -29,6 +34,13 @@ class TestChannelConfig:
             ChannelConfig(AWGN, 1.0, rate_for_ebn0=0.0)
         with pytest.raises(ValueError):
             ChannelConfig(BEC, 0.5).noise_variance()
+
+    # nan and +inf give nan or 0; -inf and -4000 underflow 10**(p/10) to 0
+    # (ZeroDivisionError), and 4000 overflows it (OverflowError).
+    @pytest.mark.parametrize("ebn0_db", [math.nan, math.inf, -math.inf, 4000.0, -4000.0])
+    def test_awgn_point_without_finite_noise_variance(self, ebn0_db):
+        with pytest.raises(ValueError, match=f"Eb/N0 of {ebn0_db} dB gives no finite positive"):
+            ChannelConfig(AWGN, ebn0_db, rate_for_ebn0=0.5)
 
 
 class TestPunctureTx:

@@ -276,6 +276,35 @@ class TestSimulateCommand:
                        "--out", str(tmp_path / "run")) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "4000", "-4000"])
+    def test_awgn_point_without_finite_noise_variance(self, tmp_path, capsys, value):
+        assert run_cli("simulate", "--n", "5", "--k", "10", "--construction", "ga:1",
+                       f"--sweep={value}", "--out", str(tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: Eb/N0 of {float(value)} dB gives no finite positive")
+        assert "Traceback" not in err
+        assert not (tmp_path / "run.json").exists()
+
+    def test_awgn_point_rejected_in_compare(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"n": 4, "k": 6, "sweep": [2.0, 1e400]}))
+        b.write_text(json.dumps({"n": 4, "k": 6, "sweep": [2.0, 1e400]}))
+        assert run_cli("compare", "--config-a", str(a), "--config-b", str(b),
+                       "--out", str(tmp_path / "joint")) == 1
+        assert capsys.readouterr().err.startswith("error: Eb/N0 of inf dB")
+        assert not (tmp_path / "joint.csv").exists()
+
+    def test_custom_file_needs_custom_puncturing(self, tmp_path, capsys):
+        custom = tmp_path / "c.json"
+        custom.write_text("[0, 8]")
+        assert run_cli("simulate", "--n", "4", "--k", "6", "--puncture", "qup", "--q", "2",
+                       "--custom-file", str(custom), "--sweep", "3",
+                       "--out", str(tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: custom coded positions need puncturing 'custom', "
+                              "got 'qup'")
+        assert not (tmp_path / "run.json").exists()
+
     def test_custom_file_sets_q(self, tmp_path):
         custom = tmp_path / "f.json"
         custom.write_text("[0, 8, 8]")

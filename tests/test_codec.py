@@ -581,6 +581,17 @@ class TestSclProperties:
         alone = np.stack([scl_decode(frame, spec, 4) for frame in llr])
         assert np.array_equal(batch, alone)
 
+    # Random information sets reach nodes where only one child holds an
+    # information leaf, so only one side returns a path permutation.
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.one_of(_code_and_llrs(), _code_and_llrs(crc_bits=CRC8_0X9B.width)),
+           st.sampled_from([2, 3, 4, 8]))
+    def test_matches_eager_reference(self, case, L):
+        spec, llr = case
+        crc = CRC8_0X9B if spec.crc_bits else None
+        assert np.array_equal(scl_decode(llr, spec, L),
+                              scl_eager_reference(llr, spec, L, crc=crc))
+
 
 @pytest.mark.parametrize("decode", [sc_decode, lambda llr, spec: scl_decode(llr, spec, 1)],
                          ids=["sc", "scl"])

@@ -46,6 +46,9 @@ class TestConfigValidation:
         dict(channel="bec", sweep=(0.2, 1.4)),
         dict(master_seed=-1),
         dict(k=30, q=8),                        # k > transmitted symbols
+        dict(sweep=(1.0, float("nan"))),
+        dict(sweep=(float("inf"),)),
+        dict(puncturing="qup", q=2, custom_coded=(0, 8)),  # positions QUP ignores
     ])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
