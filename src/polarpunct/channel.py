@@ -85,11 +85,19 @@ def transmit(bits, cfg: ChannelConfig, rng) -> np.ndarray:
 
 
 def depuncture_rx(rx_llr, pattern: PuncturePattern) -> np.ndarray:
-    """Insert LLR 0 at the pattern's coded positions, restoring length N."""
+    """Insert LLR 0 at the pattern's coded positions, restoring length N.
+
+    The result is filled position-major, one row per kept position, and
+    returned in the caller's ``(..., N)`` shape: a transposed view for a
+    batch of at most one axis, so a decoder's gather of positions reads
+    whole contiguous rows."""
     rx_llr = np.asarray(rx_llr, dtype=np.float64)
     if rx_llr.shape[-1] != pattern.transmitted:
         raise ValueError(
             f"received length {rx_llr.shape[-1]} != N - Q = {pattern.transmitted}")
-    out = np.zeros(rx_llr.shape[:-1] + (pattern.size,))
-    out[..., pattern.kept_positions] = rx_llr
-    return out
+    batch_shape = rx_llr.shape[:-1]
+    # Explicit, not -1: a reshape cannot infer a dimension of an empty batch.
+    frames = math.prod(batch_shape)
+    out = np.zeros((pattern.size, frames))
+    out[pattern.kept_positions] = rx_llr.reshape(frames, pattern.transmitted).T
+    return out.T.reshape(batch_shape + (pattern.size,))

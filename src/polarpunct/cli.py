@@ -61,12 +61,14 @@ def _cmd_puncture(args) -> int:
         if args.k:
             spec = cons.select_information_set(profile, args.k + args.crc, crc_bits=args.crc)
 
+    schemes = [name.strip() for name in args.compare.split(",")] if args.compare else [args.scheme]
+    if args.custom_file and puncture.CUSTOM not in schemes:
+        raise ValueError(f"--custom-file needs scheme 'custom', got {', '.join(schemes)}")
     coded = _read_json(args.custom_file) if args.custom_file else None
-    schemes = args.compare.split(",") if args.compare else [args.scheme]
     entries = []
     reports = []
     for scheme in schemes:
-        pattern = puncture.make_pattern(scheme.strip(), args.n, args.q, spec, profile, coded)
+        pattern = puncture.make_pattern(scheme, args.n, args.q, spec, profile, coded)
         entry = pattern.to_json_dict()
         if spec is not None and profile is not None and profile.error_prob is not None:
             report = puncture.analyze_pattern(pattern, spec, profile)

@@ -25,7 +25,8 @@ Conventions (fixed so results are bit-exact reproducible):
   holds no information leaf). A buffer misses exactly the permutations of
   the subtree decoded between its write and its one later read, so it is
   gathered at most once, by those alone, and an information leaf
-  reorders no buffer.
+  reorders no buffer. No decision is stored: every final path's ``u`` is
+  the butterfly of the root's partial sums.
 * Batched data is position-major: the encoder and both decoders index
   their buffers (position, frame[, path]), so the two halves of a tree
   node, ``x[:half]`` and ``x[half:]``, are each one contiguous block and
@@ -131,6 +132,18 @@ def _check_block(x: np.ndarray) -> int:
     return n
 
 
+def _butterfly(x: np.ndarray) -> np.ndarray:
+    """The GF(2) butterfly over axis 0 of a C-contiguous position-major
+    ``(N, ...)`` array, in place; returns ``x``. An involution."""
+    N = len(x)
+    m = 2
+    while m <= N:
+        v = x.reshape((N // m, m) + x.shape[1:])
+        v[:, : m // 2] ^= v[:, m // 2 :]
+        m *= 2
+    return x
+
+
 def _butterflies(u) -> tuple[np.ndarray, tuple[int, ...]]:
     """The butterfly transform of ``u`` as a position-major ``(N, frames)``
     uint8 array, and the batch shape of ``u``."""
@@ -142,12 +155,7 @@ def _butterflies(u) -> tuple[np.ndarray, tuple[int, ...]]:
     frames = math.prod(batch_shape)
     x = u.reshape(frames, N).T.astype(np.uint8, order="C")
     x &= 1
-    m = 2
-    while m <= N:
-        v = x.reshape(N // m, m, frames)
-        v[:, : m // 2] ^= v[:, m // 2 :]
-        m *= 2
-    return x, batch_shape
+    return _butterfly(x), batch_shape
 
 
 def _frame_major(x: np.ndarray, batch_shape: tuple[int, ...]) -> np.ndarray:
@@ -333,8 +341,8 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int) -> np.ndarray:
     combined. Each buffer is gathered at most once, by the permutations it
     missed, right before its one later read.
 
-    Decisions are not kept per path: each information leaf appends
-    ``(dec, src)`` to a history that is traced back once, at the end.
+    No decision is stored: each final path's ``u`` is the butterfly (an
+    involution) of its partial sums at the root.
     """
     if list_size < 1:
         raise ValueError(f"list size must be >= 1, got {list_size}")
@@ -344,8 +352,6 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int) -> np.ndarray:
     frozen = spec.frozen_mask
     pm = np.full((B, L), np.inf)
     pm[:, 0] = 0.0
-    history: list[tuple[np.ndarray, np.ndarray]] = []
-    src_dtype = np.min_scalar_type(L - 1)
     bidx = np.arange(B)[:, None]
     zero = np.zeros((1, B, 1), dtype=np.uint8)
 
@@ -373,7 +379,6 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int) -> np.ndarray:
             src = order % L
             dec = hard[bidx, src].astype(np.uint8) ^ (order >= L).astype(np.uint8)
             pm = cand[bidx, order]
-            history.append((dec, src.astype(src_dtype)))
             return dec[None], src
         half = m // 2
         x_left, left = rec(_boxplus(p[:half], p[half:]), lo)
@@ -385,17 +390,11 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int) -> np.ndarray:
             return x, right if left is None else left
         return x, left[bidx, right]
 
-    rec(w[..., None], 0)
-
-    # Trace every final path's information bits back through the history.
-    payload = np.empty((B, L, len(history)), dtype=np.uint8)
-    path = np.broadcast_to(np.arange(L), (B, L))
-    for i in range(len(history) - 1, -1, -1):
-        dec, src = history[i]
-        payload[..., i] = dec[bidx, path]
-        path = src[bidx, path]
-    ok = crc_check(payload, crc) if crc is not None else np.ones(pm.shape, dtype=bool)
+    x, _ = rec(w[..., None], 0)
+    # Only a code without an information leaf keeps a single path at the root.
+    u = _butterfly(x if x.shape[2] == L else np.repeat(x, L, axis=2))
+    ok = (crc_check(u[spec.info_positions].transpose(1, 2, 0), crc) if crc is not None
+          else np.ones(pm.shape, dtype=bool))
     # CRC-valid paths first, then the lowest metric; the stable sort ties to the lower path.
     best = np.lexsort((pm, ~ok))[:, 0]
-    u_best = place_payload(payload[np.arange(B), best], spec)
-    return u_best.reshape(batch_shape + (spec.size,))
+    return _frame_major(u[:, np.arange(B), best], batch_shape)

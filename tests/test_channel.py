@@ -126,16 +126,23 @@ class TestDepunctureRx:
 
     def test_round_trip_positions(self):
         rng = np.random.default_rng(8)
-        for _ in range(30):
-            n = int(rng.integers(2, 9))
-            q = int(rng.integers(1, 1 << n))
-            p = qup_pattern(n, q)
-            llr = rng.normal(0, 1, (1 << n,))
-            restored = depuncture_rx(puncture_tx(llr, p), p)
-            keep = np.setdiff1d(np.arange(1 << n), np.array(p.coded_set))
-            assert np.array_equal(restored[keep], llr[keep])
-            assert not restored[np.array(p.coded_set)].any()
-            assert (restored == 0).sum() >= q
+        for batch in [(), (5,), (2, 3), (0,)]:
+            for _ in range(30):
+                n = int(rng.integers(2, 9))
+                q = int(rng.integers(1, 1 << n))
+                p = qup_pattern(n, q)
+                llr = rng.normal(0, 1, batch + (1 << n,))
+                rx = puncture_tx(llr, p)
+                restored = depuncture_rx(rx, p)
+                assert restored.shape == llr.shape and restored.dtype == np.float64
+                keep = np.setdiff1d(np.arange(1 << n), np.array(p.coded_set))
+                assert np.array_equal(restored[..., keep], llr[..., keep])
+                assert not restored[..., np.array(p.coded_set)].any()
+                assert (restored == 0).sum() >= q * math.prod(batch)
+                # The reference: a frame-major scatter.
+                scatter = np.zeros(batch + (1 << n,))
+                scatter[..., p.kept_positions] = rx
+                assert np.array_equal(restored, scatter)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

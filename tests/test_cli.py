@@ -145,6 +145,28 @@ class TestPunctureCommand:
                        "--custom-file", str(custom)) == 1
         assert capsys.readouterr().err.startswith("error: q=3")
 
+    @pytest.mark.parametrize("flags", [("--scheme", "qup"), ("--compare", "qup,wqp")])
+    def test_custom_file_needs_custom_scheme(self, tmp_path, capsys, flags):
+        custom = tmp_path / "c.json"
+        custom.write_text("[1, 5]")
+        out = tmp_path / "p.json"
+        assert run_cli("puncture", "--n", "3", "--q", "2", *flags, "--construction", "bec:0.5",
+                       "--k", "4", "--custom-file", str(custom), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --custom-file needs scheme 'custom'")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_compare_with_custom(self, tmp_path, capsys):
+        custom = tmp_path / "c.json"
+        custom.write_text("[1, 5]")
+        assert run_cli("puncture", "--n", "3", "--q", "2", "--compare", "qup, custom",
+                       "--custom-file", str(custom)) == 0
+        qup, custom_entry = json.loads(capsys.readouterr().out)["patterns"]
+        assert qup["scheme"] == "qup"
+        assert custom_entry["scheme"] == "custom"
+        assert custom_entry["coded_set"] == [1, 5]
+
     def test_wqp_q_too_large(self, capsys):
         assert run_cli("puncture", "--n", "3", "--q", "5", "--scheme", "wqp",
                        "--construction", "bec:0.5", "--k", "4") == 1

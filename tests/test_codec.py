@@ -390,6 +390,9 @@ class TestScDecode:
             llr = np.random.default_rng(n).normal(0, 2, (3, 1 << n))
             assert not sc_decode(llr, spec).any()
             assert not sc_full_reference(llr, spec).any()
+            for L in (1, 4):
+                out = scl_decode(llr, spec, L)
+                assert out.shape == llr.shape and out.dtype == np.uint8 and not out.any()
 
     def test_pruned_matches_full_reference(self):
         # Every information set at n <= 3, the empty one included, and 240
@@ -593,8 +596,9 @@ class TestSclProperties:
                               scl_eager_reference(llr, spec, L, crc=crc))
 
 
-@pytest.mark.parametrize("decode", [sc_decode, lambda llr, spec: scl_decode(llr, spec, 1)],
-                         ids=["sc", "scl"])
+@pytest.mark.parametrize("decode", [sc_decode, lambda llr, spec: scl_decode(llr, spec, 1),
+                                    lambda llr, spec: scl_decode(llr, spec, 4)],
+                         ids=["sc", "scl", "scl4"])
 class TestDecoderFrontEnd:
     def setup_method(self):
         self.spec = _spec(3, {3, 5, 6, 7})
