@@ -14,19 +14,22 @@ Conventions (fixed so results are bit-exact reproducible):
   payload occupies the information set in ascending index order.
   ``crc_remainder``, ``crc_append`` and ``crc_check`` work over the last
   axis, so one call serves a message or a batch of any shape; all three
-  multiply by one cached GF(2) remainder matrix per message length.
+  multiply by one cached GF(2) remainder matrix per message length, in
+  float64 so that the product goes through BLAS; it is exact, as every sum
+  is an integer below 2**53.
 * The check-node combine is the exact log-domain boxplus. The spec alone
   describes the code: SCL selects by the CRC that ``spec.crc_bits`` names.
 * SCL path metrics are exact: a path extension by decision u on decision
   LLR L adds log(1 + exp(-(1 - 2u) L)), so with a full list the best
   final metric is the maximum-likelihood path.
-* SCL is SC's depth-first recursion with a path axis. Each subtree
-  returns its partial sums and its path permutation (``None`` when it
-  holds no information leaf). A buffer misses exactly the permutations of
-  the subtree decoded between its write and its one later read, so it is
-  gathered at most once, by those alone, and an information leaf
-  reorders no buffer. No decision is stored: every final path's ``u`` is
-  the butterfly of the root's partial sums.
+* Neither decoder stores a decision. Each subtree returns its partial
+  sums, and the decoded ``u`` (every final path's, for SCL) is the
+  butterfly of the root's partial sums.
+* SCL is SC's depth-first recursion with a path axis. Each subtree also
+  returns its path permutation (``None`` when it holds no information
+  leaf). A buffer misses exactly the permutations of the subtree decoded
+  between its write and its one later read, so it is gathered at most
+  once, by those alone, and an information leaf reorders no buffer.
 * Batched data is position-major: the encoder and both decoders index
   their buffers (position, frame[, path]), so the two halves of a tree
   node, ``x[:half]`` and ``x[half:]``, are each one contiguous block and
@@ -83,7 +86,7 @@ def crc_for_width(width: int) -> CrcPoly:
 
 @lru_cache(maxsize=32)
 def _crc_matrix(length: int, poly: CrcPoly) -> np.ndarray:
-    """Row i: x**(length - 1 - i + width) mod g, MSB first; read-only, as cached.
+    """Row i: x**(length - 1 - i + width) mod g, MSB first, in float64; read-only, as cached.
 
     Register recurrence: the last row is x**width mod g, each row above it
     the row below shifted once and reduced by g.
@@ -94,7 +97,7 @@ def _crc_matrix(length: int, poly: CrcPoly) -> np.ndarray:
     for i in range(length - 1, -1, -1):
         rows[i] = reg
         reg = ((reg << 1) ^ (poly.poly if reg & top else 0)) & (2 * top - 1)
-    m = ((rows[:, None] >> np.arange(poly.width - 1, -1, -1)) & 1).astype(np.uint8)
+    m = ((rows[:, None] >> np.arange(poly.width - 1, -1, -1)) & 1).astype(np.float64)
     m.setflags(write=False)
     return m
 
@@ -104,8 +107,7 @@ def crc_remainder(bits, poly: CrcPoly) -> np.ndarray:
     if not isinstance(poly, CrcPoly):
         raise ValueError(f"unknown polynomial id {poly!r}")
     bits = np.asarray(bits).astype(np.uint8)
-    # uint8 sums wrap modulo 256, which keeps their parity.
-    return bits @ _crc_matrix(bits.shape[-1], poly) % 2
+    return (bits @ _crc_matrix(bits.shape[-1], poly) % 2).astype(np.uint8)
 
 
 def crc_append(bits, poly: CrcPoly) -> np.ndarray:
@@ -196,6 +198,8 @@ def place_payload(payload, spec: PolarCodeSpec) -> np.ndarray:
 def extract_payload(u, spec: PolarCodeSpec) -> np.ndarray:
     """Inverse of :func:`place_payload` (info + CRC bits, ascending index)."""
     u = np.asarray(u)
+    if u.shape[-1] != spec.size:
+        raise ValueError(f"u length {u.shape[-1]} != N = {spec.size}")
     return u[..., spec.info_positions]
 
 
@@ -265,8 +269,8 @@ def sc_decode(llr, spec: PolarCodeSpec) -> np.ndarray:
         Frozen positions decode to 0; information positions are
         hard-decided from the bit-channel LLR (0 on a tie).
 
-    Returns the estimated input vector(s) ``u_hat`` with frozen zeros
-    included.
+    Returns the estimated input vector(s) with frozen zeros included:
+    the butterfly of the root's partial sums, so no decision is stored.
 
     A subtree is Rate-0 when its leaf block holds no information position.
     Each node splits the slice ``info_set[first:last]`` of its block at the
@@ -280,17 +284,13 @@ def sc_decode(llr, spec: PolarCodeSpec) -> np.ndarray:
     ``node[:half]`` and ``node[half:]`` are contiguous blocks.
     """
     w, batch_shape = _tree_order(llr, spec)
-    N, B = w.shape
     info = spec.info_set
-    u_hat = np.zeros((N, B), dtype=np.uint8)
 
     def rec(node_llr: np.ndarray, lo: int, first: int, last: int) -> np.ndarray:
         m = len(node_llr)
         if m == 1:
             # Only information leaves are reached; frozen ones are skipped.
-            u = (node_llr < 0).astype(np.uint8)
-            u_hat[lo] = u[0]
-            return u
+            return (node_llr < 0).astype(np.uint8)
         half = m // 2
         mid = lo + half
         split = bisect_left(info, mid, first, last)
@@ -305,9 +305,8 @@ def sc_decode(llr, spec: PolarCodeSpec) -> np.ndarray:
         x_right = rec(_g(a, b, x_left), mid, split, last)
         return np.concatenate([x_left ^ x_right, x_right])
 
-    if info:
-        rec(w, 0, 0, len(info))
-    return _frame_major(u_hat, batch_shape)
+    x = rec(w, 0, 0, len(info)) if info else np.zeros(w.shape, dtype=np.uint8)
+    return _frame_major(_butterfly(x), batch_shape)
 
 
 # --------------------------------------------------------------------------- SCL
@@ -322,8 +321,8 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int) -> np.ndarray:
     Keeps the ``list_size`` best paths by exact path metric (ties to the
     lower path index) and returns the best-metric one that passes the CRC
     of width ``spec.crc_bits``; with no CRC bits, or no path passing, the
-    best-metric one. Without CRC bits, ``list_size=1`` equals
-    :func:`sc_decode` bit for bit.
+    best-metric one. ``list_size=1`` equals :func:`sc_decode` bit for bit,
+    with or without CRC bits: one path leaves the CRC nothing to pick.
 
     Node buffers are position-major ``(m, frame, path)``. A buffer whose
     path axis has size 1 holds the same values on every path: the channel
@@ -390,9 +389,8 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int) -> np.ndarray:
             return x, right if left is None else left
         return x, left[bidx, right]
 
-    x, _ = rec(w[..., None], 0)
-    # Only a code without an information leaf keeps a single path at the root.
-    u = _butterfly(x if x.shape[2] == L else np.repeat(x, L, axis=2))
+    # A code without an information leaf keeps one path, and its path 0 has the best metric.
+    u = _butterfly(rec(w[..., None], 0)[0])
     ok = (crc_check(u[spec.info_positions].transpose(1, 2, 0), crc) if crc is not None
           else np.ones(pm.shape, dtype=bool))
     # CRC-valid paths first, then the lowest metric; the stable sort ties to the lower path.

@@ -109,33 +109,27 @@ class PolarCodeSpec:
     """Code parameters with a fixed information set.
 
     ``info_set`` holds the ``k + crc_bits`` most reliable indices under the
-    construction it was derived from; ``frozen_set`` is its complement.
-    Both are strictly ascending. Once selected the sets stay fixed, in
-    particular across puncturing. ``info_positions`` and ``frozen_mask`` are
-    read-only arrays derived from the sets once per spec; they take no part
-    in equality, hashing or JSON.
+    construction it was derived from, strictly ascending. Once selected it
+    stays fixed, in particular across puncturing. Everything else is
+    derived from it once per spec and takes no part in equality or
+    hashing: ``frozen_set``, its ascending complement (written to JSON as
+    ``"F"``), and the read-only arrays ``info_positions`` and
+    ``frozen_mask``.
     """
 
     n: int
     k: int
     crc_bits: int
     info_set: tuple[int, ...]
-    frozen_set: tuple[int, ...]
     construction: str
 
     def __post_init__(self):
         info = check_index(self.info_set, self.n)
-        frozen = check_index(self.frozen_set, self.n)
-        for name, idx in (("information", info), ("frozen", frozen)):
-            if idx.ndim != 1 or (idx[1:] <= idx[:-1]).any():
-                raise ValueError(f"{name} set must be a strictly ascending sequence")
-        # Sizes first, so the mask is no larger than the sets.
-        if info.size + frozen.size != self.size:
-            raise ValueError("information and frozen sets must partition [0, N)")
-        is_info = np.zeros(self.size, dtype=bool)
-        is_info[info] = True
-        if is_info[frozen].any():
-            raise ValueError("information and frozen sets overlap")
+        if info.ndim != 1 or (info[1:] <= info[:-1]).any():
+            raise ValueError("information set must be a strictly ascending sequence")
+        # So a code without an information bit carries no CRC bits either.
+        if self.k < 0:
+            raise ValueError(f"k must be >= 0, got {self.k}")
         if info.size != self.k + self.crc_bits:
             raise ValueError("information set size must equal k + crc_bits")
 
@@ -149,6 +143,11 @@ class PolarCodeSpec:
         info = np.array(self.info_set, dtype=np.intp)
         info.setflags(write=False)
         return info
+
+    @cached_property
+    def frozen_set(self) -> tuple[int, ...]:
+        """The complement of the information set, ascending."""
+        return tuple(np.flatnonzero(self.frozen_mask).tolist())
 
     @cached_property
     def frozen_mask(self) -> np.ndarray:
@@ -470,13 +469,9 @@ def select_information_set(profile: ReliabilityProfile, count: int,
         raise ValueError(f"crc_bits must be one of {CRC_WIDTHS}, got {crc_bits}")
     if count <= crc_bits:
         raise ValueError("count must exceed crc_bits")
-    chosen = np.zeros(N, dtype=bool)
-    chosen[profile.best_first()[:count]] = True
-    info = tuple(np.flatnonzero(chosen).tolist())
-    frozen = tuple(np.flatnonzero(~chosen).tolist())
+    info = tuple(np.sort(profile.best_first()[:count]).tolist())
     params = ",".join(f"{k}={v:g}" for k, v in profile.params.items())
     return PolarCodeSpec(
-        n=profile.n, k=count - crc_bits, crc_bits=crc_bits,
-        info_set=info, frozen_set=frozen,
+        n=profile.n, k=count - crc_bits, crc_bits=crc_bits, info_set=info,
         construction=f"{profile.method}({params})",
     )

@@ -197,7 +197,6 @@ def test_06_punctured_information_detection():
         worst = next(int(i) for i in profile.worst_first() if int(i) in set(spec.info_set))
         info = tuple(sorted((set(spec.info_set) - {worst}) | {64}))
         spec = PolarCodeSpec(n=8, k=93, crc_bits=0, info_set=info,
-                             frozen_set=tuple(sorted(set(range(256)) - set(info))),
                              construction=spec.construction)
     assert 64 in pattern.destination_set
     report = analyze_pattern(pattern, spec, profile)

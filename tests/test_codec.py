@@ -148,6 +148,10 @@ class TestPayloadPlacement:
         spec = select_information_set(bec_bhattacharyya(4, 0.5), 9)
         with pytest.raises(ValueError):
             place_payload(np.zeros(8, dtype=np.uint8), spec)
+        # Too short would index past the end, too long would drop bits unnoticed.
+        for length in (8, 32):
+            with pytest.raises(ValueError, match=f"u length {length} != N = 16"):
+                extract_payload(np.zeros((2, length), dtype=np.uint8), spec)
 
 
 # ------------------------------------------------------------------ CRC
@@ -307,9 +311,7 @@ def _noiseless_llr(x):
 
 
 def _spec(n, info):
-    N = 1 << n
     return PolarCodeSpec(n=n, k=len(info), crc_bits=0, info_set=tuple(sorted(info)),
-                         frozen_set=tuple(sorted(set(range(N)) - info)),
                          construction="explicit")
 
 
@@ -463,7 +465,7 @@ class TestSclDecode:
 
     def test_unregistered_crc_width_rejected(self):
         spec = PolarCodeSpec(n=4, k=4, crc_bits=4, info_set=tuple(range(8, 16)),
-                             frozen_set=tuple(range(8)), construction="fixed")
+                             construction="fixed")
         with pytest.raises(ValueError, match="width 4"):
             scl_decode(np.zeros(16), spec, 2)
 
@@ -545,9 +547,7 @@ def _code_and_llrs(draw, crc_bits=0):
     N = 1 << n
     info = draw(st.sets(st.integers(0, N - 1), min_size=crc_bits + (crc_bits > 0)))
     spec = PolarCodeSpec(n=n, k=len(info) - crc_bits, crc_bits=crc_bits,
-                         info_set=tuple(sorted(info)),
-                         frozen_set=tuple(sorted(set(range(N)) - info)),
-                         construction="random")
+                         info_set=tuple(sorted(info)), construction="random")
     values = st.one_of(st.just(0.0), st.integers(-3, 3).map(float),
                        st.floats(-30.0, 30.0))
     frames = draw(st.integers(1, 4))
@@ -570,8 +570,9 @@ class TestScProperties:
 
 
 class TestSclProperties:
+    # With one path the CRC has nothing to pick, so CRC specs decode as SC too.
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
-    @given(_code_and_llrs())
+    @given(st.one_of(_code_and_llrs(), _code_and_llrs(crc_bits=CRC8_0X9B.width)))
     def test_list_one_equals_sc(self, case):
         spec, llr = case
         assert np.array_equal(scl_decode(llr, spec, 1), sc_decode(llr, spec))

@@ -213,7 +213,6 @@ class TestAnalyzePattern:
             worst = [i for i in prof.worst_first() if i in set(base.info_set)][0]
             info = sorted((set(base.info_set) - {int(worst)}) | {64})
             base = type(base)(n=8, k=93, crc_bits=0, info_set=tuple(info),
-                              frozen_set=tuple(sorted(set(range(256)) - set(info))),
                               construction=base.construction)
         p = qup_pattern(8, 70)
         rep = analyze_pattern(p, base, prof)
