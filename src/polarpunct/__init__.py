@@ -7,7 +7,7 @@ Monte-Carlo FER/BER harness.
 """
 
 from ._version import __version__
-from .bitops import binary_expand, bit_reverse, bit_reverse_set, covers
+from .bitops import bit_reverse, covers
 from .channel import AWGN, BEC, ChannelConfig, depuncture_rx, puncture_tx, transmit
 from .codec import (
     CRC8_0X9B,
@@ -19,7 +19,6 @@ from .codec import (
     encode,
     extract_payload,
     place_payload,
-    polar_transform,
     sc_decode,
     scl_decode,
 )
@@ -48,7 +47,7 @@ from .sim import PointResult, SimConfig, SimResult, emit, load_result, run_point
 
 __all__ = [
     "__version__",
-    "binary_expand", "bit_reverse", "bit_reverse_set", "covers",
+    "bit_reverse", "covers",
     "propagate", "punctured_bit_channels",
     "PropagationMap",
     "ReliabilityProfile", "PolarCodeSpec", "DEFAULT_PW_BETA",
@@ -56,7 +55,7 @@ __all__ = [
     "PuncturePattern", "PatternReport", "PatternComparison", "UnsupportedConfiguration",
     "qup_pattern", "wqp_pattern", "custom_pattern", "analyze_pattern", "compare_patterns",
     "CrcPoly", "CRC8_0X9B", "CRC16_0X8005", "crc_append", "crc_check", "crc_for_width",
-    "polar_transform", "encode", "place_payload", "extract_payload",
+    "encode", "place_payload", "extract_payload",
     "sc_decode", "scl_decode",
     "ChannelConfig", "AWGN", "BEC", "puncture_tx", "transmit", "depuncture_rx",
     "SimConfig", "SimResult", "PointResult", "run_point", "run_sweep", "emit", "load_result",

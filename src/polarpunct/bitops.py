@@ -1,4 +1,4 @@
-"""Bit-index algebra: binary expansions, bit reversal, popcounts and the covering order.
+"""Bit-index algebra: bit reversal, popcounts and the covering order.
 
 All functions take the index width ``n`` explicitly; an index is valid for
 width ``n`` when it lies in ``[0, 2**n)``, and width 0 is the N = 1 code.
@@ -9,7 +9,6 @@ indices and build no ``2**n`` table, so every admitted width is cheap.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from functools import lru_cache
 
 import numpy as np
@@ -38,12 +37,6 @@ def check_index(i, n: int) -> np.ndarray:
     return idx.astype(np.int64)
 
 
-def binary_expand(i: int, n: int) -> tuple[int, ...]:
-    """Binary expansion of ``i`` as exactly ``n`` bits, MSB first."""
-    check_index(i, n)
-    return tuple((i >> (n - 1 - k)) & 1 for k in range(n))
-
-
 def bit_reverse(i, n: int):
     """Reverse the ``n``-bit expansion of ``i``. Self-inverse.
 
@@ -55,14 +48,6 @@ def bit_reverse(i, n: int):
     for b in range(n):
         r |= ((idx >> b) & 1) << (n - 1 - b)
     return r if np.ndim(i) else int(r)
-
-
-def bit_reverse_set(indices: Iterable[int], n: int) -> frozenset[int]:
-    """Bit-reverse each element of a set of indices sharing width ``n``.
-
-    Cardinality is preserved because reversal is a permutation.
-    """
-    return frozenset(bit_reverse(list(indices), n).tolist())
 
 
 @lru_cache(maxsize=32)

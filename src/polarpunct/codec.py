@@ -66,13 +66,12 @@ _BLOCK = 2**14
 class CrcPoly:
     """CRC generator polynomial; ``poly`` holds the coefficients below x**width."""
 
-    name: str
     width: int
     poly: int
 
 
-CRC8_0X9B = CrcPoly("crc8-0x9b", 8, 0x9B)
-CRC16_0X8005 = CrcPoly("crc16-0x8005", 16, 0x8005)
+CRC8_0X9B = CrcPoly(8, 0x9B)
+CRC16_0X8005 = CrcPoly(16, 0x8005)
 
 _CRC_BY_WIDTH = {8: CRC8_0X9B, 16: CRC16_0X8005}
 
@@ -169,11 +168,6 @@ def _frame_major(x: np.ndarray, batch_shape: tuple[int, ...]) -> np.ndarray:
     return x.T.reshape(batch_shape + x.shape[:1])
 
 
-def polar_transform(u) -> np.ndarray:
-    """Butterfly transform over GF(2) (the Kronecker-power part, no permutation)."""
-    return _frame_major(*_butterflies(u))
-
-
 def encode(u) -> np.ndarray:
     """Map input bits to the codeword; operates on the last axis, batchable.
 
@@ -184,12 +178,17 @@ def encode(u) -> np.ndarray:
     return _frame_major(x[bit_reversal_permutation(n)], batch_shape)
 
 
+def _check_length(x: np.ndarray, what: str, want: int, name: str) -> None:
+    """``ValueError`` naming the shape of ``x`` unless its last axis holds ``want`` entries."""
+    if x.ndim == 0 or x.shape[-1] != want:
+        got = x.shape[-1] if x.ndim else "undefined"
+        raise ValueError(f"{what} length {got} != {name} = {want} (shape {x.shape})")
+
+
 def place_payload(payload, spec: PolarCodeSpec) -> np.ndarray:
     """Spread info (+CRC) bits over the information set, zeros on frozen bits."""
     payload = np.asarray(payload).astype(np.uint8)
-    want = spec.k + spec.crc_bits
-    if payload.shape[-1] != want:
-        raise ValueError(f"payload length {payload.shape[-1]} != k + crc_bits = {want}")
+    _check_length(payload, "payload", spec.k + spec.crc_bits, "k + crc_bits")
     u = np.zeros(payload.shape[:-1] + (spec.size,), dtype=np.uint8)
     u[..., spec.info_positions] = payload
     return u
@@ -198,8 +197,7 @@ def place_payload(payload, spec: PolarCodeSpec) -> np.ndarray:
 def extract_payload(u, spec: PolarCodeSpec) -> np.ndarray:
     """Inverse of :func:`place_payload` (info + CRC bits, ascending index)."""
     u = np.asarray(u)
-    if u.shape[-1] != spec.size:
-        raise ValueError(f"u length {u.shape[-1]} != N = {spec.size}")
+    _check_length(u, "u", spec.size, "N")
     return u[..., spec.info_positions]
 
 
@@ -252,8 +250,7 @@ def _tree_order(llr, spec: PolarCodeSpec) -> tuple[np.ndarray, tuple[int, ...]]:
     in decoding-tree (bit-reversed) order, and the batch shape the decoded
     output takes back."""
     llr = np.asarray(llr, dtype=np.float64)
-    if llr.shape[-1] != spec.size:
-        raise ValueError(f"LLR length {llr.shape[-1]} != N = {spec.size}")
+    _check_length(llr, "LLR", spec.size, "N")
     return llr.reshape(-1, spec.size).T[bit_reversal_permutation(spec.n)], llr.shape[:-1]
 
 

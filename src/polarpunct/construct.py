@@ -350,14 +350,11 @@ def _phi_inv_ln(ln_y: float) -> float:
     """Inverse of the transfer function given log(y); ``OverflowError`` past 2**79."""
     if ln_y >= 0.0:
         return 0.0
-    hi = 1.0
-    for _ in range(80):
-        if _ln_phi(hi) <= ln_y:
-            break
-        hi *= 2.0
-    else:
+    # first k with ln phi(2**k) <= ln y, as in the lockstep kernel; NaN and -inf find none
+    k = int(np.searchsorted(-_BRACKET_LN_PHI, -ln_y))
+    if k == _BRACKET_LN_PHI.size:
         raise OverflowError(f"failed to bracket phi inverse for ln_y={ln_y}")
-    return _brent(lambda x: _ln_phi(x) - ln_y, 0.0, hi, _PHI_INV_RTOL)
+    return _brent(lambda x: _ln_phi(x) - ln_y, 0.0, float(_BRACKET_X[k]), _PHI_INV_RTOL)
 
 
 def ga_reliability(n: int, design_snr_db: float) -> ReliabilityProfile:

@@ -31,25 +31,26 @@ from .bitops import bit_reverse, check_index
 class PropagationMap:
     """Source-to-destination bijection produced by the degradation process.
 
-    ``pairs`` is ordered by ascending source index. ``levels[k][j]`` is the
-    position of the j-th source after ``k`` levels, so ``levels[0]`` lists
-    the sources and ``levels[n]`` the destinations, aligned pairwise.
+    ``levels[k][j]`` is the position of the j-th source after ``k`` levels,
+    so ``levels[0]`` lists the sources in ascending order and
+    ``levels[n]`` the destinations, aligned pairwise.
     """
 
     n: int
-    pairs: tuple[tuple[int, int], ...]
     levels: tuple[tuple[int, ...], ...]
 
     @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """Each source with its destination, by ascending source."""
+        return tuple(zip(self.levels[0], self.levels[-1]))
+
+    @property
     def sources(self) -> tuple[int, ...]:
-        return tuple(s for s, _ in self.pairs)
+        return self.levels[0]
 
     @property
     def destinations(self) -> frozenset[int]:
-        return frozenset(d for _, d in self.pairs)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
+        return frozenset(self.levels[-1])
 
     def to_json_dict(self) -> dict:
         return {
@@ -79,9 +80,7 @@ def propagate(indices: Iterable[int], n: int) -> PropagationMap:
         paired = occupied.take(np.searchsorted(occupied, partner), mode="clip") == partner
         position = np.where(paired, position, position & ~bit)
         levels.append(tuple(position.tolist()))
-
-    pairs = tuple(zip(sources, levels[-1]))
-    return PropagationMap(n=n, pairs=pairs, levels=tuple(levels))
+    return PropagationMap(n=n, levels=tuple(levels))
 
 
 def punctured_bit_channels(coded_positions: Iterable[int], n: int) -> frozenset[int]:

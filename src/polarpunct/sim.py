@@ -92,6 +92,7 @@ class SimConfig:
                 raise ValueError("custom puncturing needs coded positions")
             if len(set(self.custom_coded)) != self.q:
                 raise ValueError("q must match the number of custom coded positions")
+            puncture.custom_pattern(self.custom_coded, self.n)  # rejects positions outside [0, N)
         elif self.custom_coded is not None:
             raise ValueError(f"custom coded positions need puncturing 'custom', "
                              f"got {self.puncturing!r}")

@@ -388,6 +388,22 @@ class TestCompareCommand:
         assert "coffee" in capsys.readouterr().err
         assert started == []
 
+    def test_custom_position_outside_block_rejected_before_any_sweep(self, tmp_path, monkeypatch,
+                                                                     capsys):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(json.dumps({"n": 3, "k": 2, "construction": "bec:0.3", "channel": "bec",
+                                 "puncturing": "qup", "q": 1, "sweep": [0.3]}))
+        b.write_text(json.dumps({"n": 3, "k": 2, "construction": "bec:0.3", "channel": "bec",
+                                 "puncturing": "custom", "q": 1, "custom_coded": [9],
+                                 "sweep": [0.3]}))
+        started = []
+        monkeypatch.setattr(sim, "run_sweep", lambda cfg, workers=1: started.append(cfg))
+        assert run_cli("compare", "--config-a", str(a), "--config-b", str(b),
+                       "--out", str(tmp_path / "joint")) == 1
+        assert "out of range" in capsys.readouterr().err
+        assert started == []
+
 
 class _FullDisk:
     """A file whose every write fails, as on a full disk."""

@@ -1,5 +1,6 @@
 import itertools
 import json
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from polarpunct.codec import (
     encode,
     extract_payload,
     place_payload,
-    polar_transform,
     sc_decode,
     scl_decode,
 )
@@ -93,10 +93,10 @@ class TestEncode:
             encode(np.zeros(12, dtype=np.uint8))
 
     def test_transform_permutation_split(self):
-        # encode == butterfly followed by the bit-reversal gather
+        # encode == the Kronecker power of [[1, 0], [1, 1]] followed by the bit-reversal gather
         rng = np.random.default_rng(3)
         u = rng.integers(0, 2, 128, dtype=np.uint8)
-        w = polar_transform(u)
+        w = u @ reduce(np.kron, [np.array([[1, 0], [1, 1]])] * 7) % 2
         perm = np.array([bit_reverse(i, 7) for i in range(128)])
         assert np.array_equal(encode(u), w[perm])
 
@@ -111,7 +111,7 @@ class TestEncode:
                 perm[0] = 1
 
 
-@pytest.mark.parametrize("transform", [encode, polar_transform])
+@pytest.mark.parametrize("transform", [encode])
 @pytest.mark.parametrize("shape", [(8,), (0, 8), (2, 3, 8), (1,), (4, 1)])
 def test_encoder_keeps_batch_shape(transform, shape):
     # Position-major inside, the caller's (..., N) layout outside; an empty
@@ -121,8 +121,6 @@ def test_encoder_keeps_batch_shape(transform, shape):
     x = transform(u)
     assert x.shape == shape and x.dtype == np.uint8
     G = generator_matrix(N.bit_length() - 1)
-    if transform is polar_transform:
-        G = G[:, bit_reversal_permutation(N.bit_length() - 1)]
     assert np.array_equal(x, u @ G % 2)
 
 
@@ -152,6 +150,17 @@ class TestPayloadPlacement:
         for length in (8, 32):
             with pytest.raises(ValueError, match=f"u length {length} != N = 16"):
                 extract_payload(np.zeros((2, length), dtype=np.uint8), spec)
+
+    @pytest.mark.parametrize("call", [
+        lambda spec: place_payload(np.uint8(1), spec),
+        lambda spec: extract_payload(np.uint8(1), spec),
+        lambda spec: sc_decode(1.0, spec),
+        lambda spec: scl_decode(1.0, spec, 2),
+    ], ids=["place_payload", "extract_payload", "sc_decode", "scl_decode"])
+    def test_scalar_input_names_its_shape(self, call):
+        spec = select_information_set(bec_bhattacharyya(4, 0.5), 9)
+        with pytest.raises(ValueError, match=r"\(shape \(\)\)"):
+            call(spec)
 
 
 # ------------------------------------------------------------------ CRC
@@ -361,7 +370,7 @@ class TestScDecode:
             N = 1 << n
             spec = select_information_set(bec_bhattacharyya(n, 0.5), N)
             for src in range(N):
-                dst = propagate({src}, n).as_dict()[src]
+                [(_, dst)] = propagate({src}, n).pairs
                 llr = rng.uniform(0.5, 3.0, N)
                 llr[bit_reverse(src, n)] = 0.0
                 _, dec = sc_full_reference(llr, spec, return_decision_llrs=True)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,14 +7,14 @@ from hypothesis import strategies as st
 
 from oracles import butterfly_zero_set, zero_capacity_channels
 
-from polarpunct.bitops import bit_reverse_set, covers
+from polarpunct.bitops import bit_reverse, covers
 from polarpunct.construct import (
     bec_bhattacharyya,
     ga_reliability,
     pw_reliability,
     select_information_set,
 )
-from polarpunct.degrade import propagate, punctured_bit_channels
+from polarpunct.degrade import PropagationMap, propagate, punctured_bit_channels
 
 
 def propagate_reference(indices, n):
@@ -64,7 +66,7 @@ class TestPropagate:
     def test_matches_reference_exhaustively_n3(self):
         for bits in range(1 << 8):
             s = {i for i in range(8) if (bits >> i) & 1}
-            got = propagate(s, 3).as_dict()
+            got = dict(propagate(s, 3).pairs)
             assert got == propagate_reference(s, 3)
 
     def test_matches_reference_random(self):
@@ -73,7 +75,7 @@ class TestPropagate:
             n = int(rng.integers(1, 9))
             size = int(rng.integers(1, 1 << n))
             s = set(rng.choice(1 << n, size=size, replace=False).tolist())
-            assert propagate(s, n).as_dict() == propagate_reference(s, n)
+            assert dict(propagate(s, n).pairs) == propagate_reference(s, n)
 
     def test_bijection_cardinality_covering(self):
         rng = np.random.default_rng(11)
@@ -85,6 +87,14 @@ class TestPropagate:
             dests = [d for _, d in pmap.pairs]
             assert len(set(dests)) == len(s)
             assert all(covers(src, dst, n) for src, dst in pmap.pairs)
+
+    def test_map_stores_only_its_levels(self):
+        # sources, destinations and pairs are read off the first and last level
+        assert [f.name for f in dataclasses.fields(PropagationMap)] == ["n", "levels"]
+        pmap = propagate({2, 3, 4, 7}, 3)
+        assert pmap.sources == (2, 3, 4, 7)
+        same = PropagationMap(n=3, levels=pmap.levels)
+        assert same == pmap and hash(same) == hash(pmap)
 
     def test_iteration_order_irrelevant(self):
         a = propagate([7, 2, 4, 3], 3)
@@ -117,7 +127,7 @@ class TestPuncturedBitChannels:
     def test_coded_domain_wrapper(self):
         # coded positions {0,4,2,6} bit-reverse to sources {0,1,2,3}
         assert punctured_bit_channels({0, 4, 2, 6}, 3) == \
-            propagate(bit_reverse_set({0, 4, 2, 6}, 3), 3).destinations
+            propagate(bit_reverse([0, 4, 2, 6], 3), 3).destinations
 
     def test_empty(self):
         assert punctured_bit_channels(set(), 4) == frozenset()

@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from polarpunct import sim
+from oracles import butterfly_zero_set
+
+from polarpunct import channel, codec, sim
 from polarpunct.sim import (
     CSV_COLUMNS,
     SimConfig,
@@ -49,6 +51,8 @@ class TestConfigValidation:
         dict(sweep=(1.0, float("nan"))),
         dict(sweep=(float("inf"),)),
         dict(puncturing="qup", q=2, custom_coded=(0, 8)),  # positions QUP ignores
+        dict(puncturing="custom", q=1, custom_coded=(32,)),  # position past N
+        dict(puncturing="custom", q=1, custom_coded=(-1,)),  # negative position
     ])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
@@ -138,6 +142,56 @@ class TestRunPoint:
         res = run_point(cfg, -5.0)
         assert res.frame_errors >= 30
         assert res.frames < 100_000
+
+
+class TestExactScOnBec:
+    """On the BEC every channel LLR is 0 or +/-40, so SC decides a bit channel
+    either exactly right or on an exactly zero LLR, as 0. With a correct past
+    the zero-LLR channels are those the boolean butterfly of the zero
+    positions marks. So SC returns ``u`` exactly when no such information
+    channel carries a 1: a per-frame rule with no tolerance."""
+
+    @staticmethod
+    def check_batch(cfg: SimConfig) -> int:
+        """Replay ``run_point``'s first batch, check the rule frame by frame and
+        return the number of frames SC got wrong."""
+        _, spec, pattern, _ = build_components(cfg)
+        rng = np.random.default_rng([cfg.master_seed, 0, 0])
+        info = rng.integers(0, 2, size=(cfg.batch_size, cfg.k), dtype=np.uint8)
+        u = codec.place_payload(info, spec)
+        rx = channel.transmit(channel.puncture_tx(codec.encode(u), pattern),
+                              cfg.channel_config(cfg.sweep[0]), rng)
+        soft = channel.depuncture_rx(rx, pattern)
+        wrong = (codec.sc_decode(soft, spec) != u).any(axis=1)
+        info_set = set(spec.info_set)
+        for f in range(cfg.batch_size):
+            erased = butterfly_zero_set(np.flatnonzero(soft[f] == 0).tolist(), cfg.n) & info_set
+            assert wrong[f] == u[f, sorted(erased)].any()
+        return int(wrong.sum())
+
+    @pytest.mark.parametrize("scheme", ["qup", "wqp"])
+    def test_paper_point(self, scheme):
+        cfg = SimConfig(n=8, k=93, construction="bec:0.15", channel="bec", puncturing=scheme,
+                        q=70, sweep=(0.15,), max_frames=500, batch_size=500, master_seed=3)
+        errors = self.check_batch(cfg)
+        assert errors == run_point(cfg, 0.15).frame_errors
+        assert errors > 0
+
+    def test_small_codes(self):
+        rng = np.random.default_rng(5)
+        for trial in range(30):
+            n = int(rng.integers(1, 6))
+            N = 1 << n
+            scheme = ("qup", "wqp", "custom")[trial % 3]
+            q = int(rng.integers(1, N // 2 + 1))
+            k = int(rng.integers(1, N - q + 1))
+            eps = float(rng.choice([0.1, 0.3, 0.5]))
+            coded = (tuple(rng.choice(N, q, replace=False).tolist()) if scheme == "custom"
+                     else None)
+            cfg = SimConfig(n=n, k=k, construction=f"bec:{eps}", channel="bec",
+                            puncturing=scheme, q=q, custom_coded=coded, sweep=(eps,),
+                            max_frames=200, batch_size=200, master_seed=trial)
+            assert self.check_batch(cfg) == run_point(cfg, eps).frame_errors
 
 
 class TestRunSweep:
