@@ -22,6 +22,9 @@ AWGN = "awgn"
 BEC = "bec"
 KINDS = (AWGN, BEC)
 
+# transmit fills its output in blocks of this many elements, so its temporaries stay in cache.
+_BLOCK = 2**14
+
 
 @dataclass(frozen=True)
 class ChannelConfig:
@@ -70,18 +73,36 @@ def transmit(bits, cfg: ChannelConfig, rng) -> np.ndarray:
     """Send bits through the channel, returning received LLRs.
 
     ``rng`` is a :class:`numpy.random.Generator` or an integer seed.
+
+    The one float64 output is filled in C-order blocks of ``_BLOCK``
+    elements: each block draws its own noise (AWGN) or erasure uniforms
+    (BEC) into itself and turns them into LLRs in place, so the
+    temporaries stay in cache. The draws take the stream in the same
+    order as one draw of the whole shape, so the output is that of
+    ``2 * (1 - 2 bits + sigma z) / sigma^2`` (AWGN) or
+    ``where(uniform < p, 0, +/-saturation)`` (BEC) bit for bit.
     """
     if not isinstance(rng, Generator):
         rng = default_rng(rng)
-    bits = np.asarray(bits).astype(np.uint8)
+    bits = np.asarray(bits).astype(np.uint8, copy=False)
+    out = np.empty(bits.shape)
+    flat_bits, flat_out = bits.reshape(-1), out.reshape(-1)
     if cfg.kind == AWGN:
         sigma2 = cfg.noise_variance()
-        symbols = 1.0 - 2.0 * bits
-        y = symbols + np.sqrt(sigma2) * rng.standard_normal(bits.shape)
-        return 2.0 * y / sigma2
-    erased = rng.random(bits.shape) < cfg.param
-    llr = np.where(bits == 0, LLR_SATURATION, -LLR_SATURATION)
-    return np.where(erased, 0.0, llr)
+        sigma = np.sqrt(sigma2)
+    for i in range(0, flat_out.size, _BLOCK):
+        b, y = flat_bits[i : i + _BLOCK], flat_out[i : i + _BLOCK]
+        if cfg.kind == AWGN:
+            rng.standard_normal(out=y)
+            y *= sigma
+            y += 1.0 - 2.0 * b
+            y *= 2.0
+            y /= sigma2
+        else:
+            erased = rng.random(out=y) < cfg.param
+            y[:] = np.where(b == 0, LLR_SATURATION, -LLR_SATURATION)
+            y[erased] = 0.0
+    return out
 
 
 def depuncture_rx(rx_llr, pattern: PuncturePattern) -> np.ndarray:

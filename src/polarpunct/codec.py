@@ -126,11 +126,12 @@ def crc_check(bits, poly: CrcPoly):
 # --------------------------------------------------------------------------- encoder
 
 def _check_block(x: np.ndarray) -> int:
-    N = x.shape[-1]
-    n = N.bit_length() - 1
-    if N < 1 or (1 << n) != N:
-        raise ValueError(f"block length must be a power of two, got {N}")
-    return n
+    """log2 of the last axis of ``x``; ``ValueError`` naming the shape unless a power of two."""
+    N = x.shape[-1] if x.ndim else 0
+    if N < 1 or N & (N - 1):
+        got = N if x.ndim else "undefined"
+        raise ValueError(f"block length must be a power of two, got {got} (shape {x.shape})")
+    return N.bit_length() - 1
 
 
 def _butterfly(x: np.ndarray) -> np.ndarray:
@@ -149,8 +150,8 @@ def _butterflies(u) -> tuple[np.ndarray, tuple[int, ...]]:
     """The butterfly transform of ``u`` as a position-major ``(N, frames)``
     uint8 array, and the batch shape of ``u``."""
     u = np.asarray(u)
-    N = u.shape[-1]
     _check_block(u)
+    N = u.shape[-1]
     batch_shape = u.shape[:-1]
     # Explicit, not -1: a reshape cannot infer a dimension of an empty batch.
     frames = math.prod(batch_shape)

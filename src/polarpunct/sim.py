@@ -30,7 +30,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import channel as chan
-from . import codec, construct, puncture
+from . import bitops, codec, construct, puncture
 from ._version import __version__
 
 DECODERS = ("sc", "scl")
@@ -92,7 +92,10 @@ class SimConfig:
                 raise ValueError("custom puncturing needs coded positions")
             if len(set(self.custom_coded)) != self.q:
                 raise ValueError("q must match the number of custom coded positions")
-            puncture.custom_pattern(self.custom_coded, self.n)  # rejects positions outside [0, N)
+            # The range and type rules of the pattern build, without its propagation.
+            bitops.check_index(self.custom_coded, self.n)
+            if self.q >= N:
+                raise ValueError("cannot puncture every coded symbol")
         elif self.custom_coded is not None:
             raise ValueError(f"custom coded positions need puncturing 'custom', "
                              f"got {self.puncturing!r}")
@@ -220,6 +223,22 @@ def build_components(cfg: SimConfig):
     return profile, spec, pattern, crc_poly
 
 
+def _channel_llrs(payload, spec, pattern, channel_cfg: chan.ChannelConfig, rng) -> np.ndarray:
+    """Decoder input for a batch of payloads: place, encode, puncture, send, depuncture.
+
+    One name carries the batch from stage to stage, so each stage's input
+    is freed once the next stage's output is bound, and the returned
+    depunctured LLRs are the only full-batch array of the chain left.
+    """
+    batch = codec.encode(codec.place_payload(payload, spec))
+    if pattern is not None:
+        batch = chan.puncture_tx(batch, pattern)
+    batch = chan.transmit(batch, channel_cfg, rng)
+    if pattern is not None:
+        batch = chan.depuncture_rx(batch, pattern)
+    return batch
+
+
 def run_point(cfg: SimConfig, sweep_value: float, *, _components=None) -> PointResult:
     """Monte-Carlo loop for one sweep point; deterministic given the config."""
     if _components is None:
@@ -231,6 +250,9 @@ def run_point(cfg: SimConfig, sweep_value: float, *, _components=None) -> PointR
         raise ValueError(f"sweep value {sweep_value!r} is not in the sweep {cfg.sweep}") from None
     channel_cfg = cfg.channel_config(sweep_value)
 
+    decode = (codec.sc_decode if cfg.decoder == "sc"
+              else partial(codec.scl_decode, list_size=cfg.list_size))
+
     start = time.perf_counter()
     frames = frame_errors = bit_errors = 0
     batch_index = 0
@@ -239,17 +261,10 @@ def run_point(cfg: SimConfig, sweep_value: float, *, _components=None) -> PointR
         rng = default_rng([cfg.master_seed, point_index, batch_index])
         info = rng.integers(0, 2, size=(B, cfg.k), dtype=np.uint8)
         payload = info if crc_poly is None else codec.crc_append(info, crc_poly)
-        u = codec.place_payload(payload, spec)
-        x = codec.encode(u)
-        tx = x if pattern is None else chan.puncture_tx(x, pattern)
-        rx = chan.transmit(tx, channel_cfg, rng)
-        soft = rx if pattern is None else chan.depuncture_rx(rx, pattern)
-        if cfg.decoder == "sc":
-            u_hat = codec.sc_decode(soft, spec)
-        else:
-            u_hat = codec.scl_decode(soft, spec, cfg.list_size)
-        info_hat = codec.extract_payload(u_hat, spec)[:, : cfg.k]
-        errs = info_hat != info
+        # Nested calls, so the decoder's input and output are freed once read.
+        payload_hat = codec.extract_payload(
+            decode(_channel_llrs(payload, spec, pattern, channel_cfg, rng), spec), spec)
+        errs = payload_hat[:, : cfg.k] != info
         frame_errors += int(errs.any(axis=1).sum())
         bit_errors += int(errs.sum())
         frames += B

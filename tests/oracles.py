@@ -13,7 +13,15 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erfc
 
-from polarpunct.codec import _boxplus, _g, _softplus, crc_append, place_payload
+from polarpunct.channel import AWGN
+from polarpunct.codec import (
+    LLR_SATURATION,
+    _boxplus,
+    _g,
+    _softplus,
+    crc_append,
+    place_payload,
+)
 from polarpunct.construct import _ln_phi
 
 
@@ -101,6 +109,24 @@ def crc_remainder_intdiv(bits, width: int, poly: int) -> list[int]:
         if val >> (shift + width) & 1:
             val ^= gen << shift
     return [(val >> (width - 1 - k)) & 1 for k in range(width)]
+
+
+def transmit_reference(bits, cfg, rng) -> np.ndarray:
+    """Received LLRs by the one-shot formulas: one draw of the whole shape's
+    noise, 2 (1 - 2 bits + sigma z) / sigma^2 on the AWGN channel, or of its
+    erasure uniforms, 0 where uniform < p and +/- the saturation value
+    elsewhere, on the BEC. ``rng`` is a Generator or an integer seed."""
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
+    bits = np.asarray(bits).astype(np.uint8)
+    if cfg.kind == AWGN:
+        sigma2 = cfg.noise_variance()
+        symbols = 1.0 - 2.0 * bits
+        y = symbols + np.sqrt(sigma2) * rng.standard_normal(bits.shape)
+        return 2.0 * y / sigma2
+    erased = rng.random(bits.shape) < cfg.param
+    llr = np.where(bits == 0, LLR_SATURATION, -LLR_SATURATION)
+    return np.where(erased, 0.0, llr)
 
 
 def phi_inv_ln_brentq(ln_y: float) -> float:

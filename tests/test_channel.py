@@ -2,9 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc
 
-from polarpunct.channel import AWGN, BEC, ChannelConfig, depuncture_rx, puncture_tx, transmit
+from oracles import transmit_reference
+
+from polarpunct.channel import (
+    _BLOCK,
+    AWGN,
+    BEC,
+    ChannelConfig,
+    depuncture_rx,
+    puncture_tx,
+    transmit,
+)
 from polarpunct.puncture import custom_pattern, qup_pattern, wqp_pattern
 from polarpunct.construct import bec_bhattacharyya, select_information_set
 
@@ -67,7 +79,43 @@ class TestPunctureTx:
             puncture_tx(np.zeros(16), qup_pattern(3, 2))
 
 
+def _shapes():
+    """0-d, 1-D, (rows, N - Q)-like 2-D with an empty batch and totals on
+    and off a multiple of ``_BLOCK``, and 3-D shapes."""
+    near = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 7]
+    one = st.one_of(st.integers(0, 3 * _BLOCK), st.sampled_from(near)).map(lambda m: (m,))
+    two = st.sampled_from([1, 64, 128, 186, 256]).flatmap(lambda cols: st.one_of(
+        st.integers(0, 3 * _BLOCK // cols + 2),
+        st.sampled_from([m // cols + d for m in near for d in (-1, 0, 1)]),
+    ).map(lambda rows: (rows, cols)))
+    three = st.tuples(st.integers(0, 5), st.integers(0, 40), st.integers(1, 300))
+    return st.one_of(st.just(()), one, two, three)
+
+
+@st.composite
+def _channels(draw):
+    if draw(st.booleans()):
+        return ChannelConfig(AWGN, draw(st.floats(-5.0, 12.0)),
+                             rate_for_ebn0=draw(st.floats(0.05, 1.0)))
+    return ChannelConfig(BEC, draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))))
+
+
 class TestTransmit:
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(_shapes(), _channels(), st.integers(0, 2**32 - 1), st.booleans())
+    @example((), ChannelConfig(AWGN, 1.0, 0.5), 1, False)
+    @example((0, 186), ChannelConfig(BEC, 0.3), 2, True)
+    @example((2, 3, _BLOCK // 3 + 1), ChannelConfig(AWGN, 2.0, 0.5), 3, True)
+    @example((_BLOCK // 128, 128), ChannelConfig(BEC, 0.5), 4, False)
+    def test_blocked_draws_equal_the_one_shot_formula(self, shape, cfg, seed, as_generator):
+        bits = np.random.default_rng(seed ^ 0x5EED).integers(0, 2, shape, dtype=np.uint8)
+        rngs = [np.random.default_rng(seed) if as_generator else seed for _ in range(2)]
+        got, want = transmit(bits, cfg, rngs[0]), transmit_reference(bits, cfg, rngs[1])
+        assert got.dtype == np.float64 and got.shape == np.shape(want) == shape
+        assert got.tobytes() == np.asarray(want).tobytes()
+        if as_generator:  # Both leave the caller's stream at the same place.
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
     def test_awgn_high_snr_sign_matches(self):
         cfg = ChannelConfig(AWGN, 40.0, rate_for_ebn0=0.5)
         bits = np.random.default_rng(1).integers(0, 2, 256, dtype=np.uint8)

@@ -156,7 +156,8 @@ class TestPayloadPlacement:
         lambda spec: extract_payload(np.uint8(1), spec),
         lambda spec: sc_decode(1.0, spec),
         lambda spec: scl_decode(1.0, spec, 2),
-    ], ids=["place_payload", "extract_payload", "sc_decode", "scl_decode"])
+        lambda spec: encode(np.uint8(1)),
+    ], ids=["place_payload", "extract_payload", "sc_decode", "scl_decode", "encode"])
     def test_scalar_input_names_its_shape(self, call):
         spec = select_information_set(bec_bhattacharyya(4, 0.5), 9)
         with pytest.raises(ValueError, match=r"\(shape \(\)\)"):

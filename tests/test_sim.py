@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import butterfly_zero_set
 
-from polarpunct import channel, codec, sim
+from polarpunct import channel, codec, puncture, sim
 from polarpunct.sim import (
     CSV_COLUMNS,
     SimConfig,
@@ -95,6 +96,16 @@ class TestBuildComponents:
         _, _, pattern, _ = build_components(cfg)
         assert pattern.coded_set == (0, 8, 16)
 
+    def test_custom_pattern_propagated_once(self, monkeypatch):
+        calls = []
+        propagate = puncture.propagate
+        monkeypatch.setattr(puncture, "propagate",
+                            lambda *args: calls.append(args) or propagate(*args))
+        cfg = tiny_cfg(puncturing="custom", q=3, custom_coded=(0, 8, 16))
+        cfg.validate()  # as the CLI does before building
+        assert build_components(cfg)[2].coded_set == (0, 8, 16)
+        assert len(calls) == 1
+
     def test_rejected_before_any_trial(self):
         with pytest.raises(ValueError):
             run_point(tiny_cfg(q=40), 2.0)
@@ -142,6 +153,24 @@ class TestRunPoint:
         res = run_point(cfg, -5.0)
         assert res.frame_errors >= 30
         assert res.frames < 100_000
+
+
+class TestRunPointMemory:
+    def test_steady_state_sc_batch_peak(self):
+        """A 1000-frame paper-point SC batch holds at most 3.75 (N, B) float64
+        arrays at its peak: the depunctured LLRs, the decoder's tree-order
+        copy and its node LLRs, and no other full-batch array of the chain."""
+        cfg = SimConfig(n=8, k=93, q=70, puncturing="qup", sweep=(1.0, 2.0, 3.0, 4.0),
+                        batch_size=1000, max_frames=1000, min_frame_errors=1001)
+        components = build_components(cfg)
+        run_point(cfg, 1.0, _components=components)  # fills the caches
+        tracemalloc.start()
+        try:
+            run_point(cfg, 1.0, _components=components)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.75 * cfg.size * cfg.batch_size * 8
 
 
 class TestExactScOnBec:
