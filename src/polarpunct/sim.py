@@ -9,9 +9,13 @@ frame and information-bit errors.
 Reproducibility: frames are processed in fixed-size batches and every batch
 derives its own random stream from (master_seed, point_index, batch_index),
 so (config, master_seed) fully determines every emitted number regardless
-of execution order. A point stops after the batch that reaches max_frames
-or min_frame_errors, whichever comes first; stopping on an error count
-makes the FER estimate a fixed-error-count estimator.
+of execution order. A batch draws all its information bits first, then
+streams through the chain in frame blocks of ``_BLOCK_COLUMNS`` (frame,
+path) columns; the blocks take the batch's noise in the order one draw of
+the whole batch takes, so the counts do not depend on the block size. A
+point stops after the batch (never the block) that reaches max_frames or
+min_frame_errors, whichever comes first; stopping on an error count makes
+the FER estimate a fixed-error-count estimator.
 """
 
 from __future__ import annotations
@@ -35,6 +39,10 @@ from ._version import __version__
 
 DECODERS = ("sc", "scl")
 PUNCTURINGS = ("none", *puncture.SCHEMES)
+
+# (frame, path) columns per block of a batch: SC takes one column per frame,
+# SCL list_size, so a block holds about N x _BLOCK_COLUMNS decoder values.
+_BLOCK_COLUMNS = 2**12
 
 
 @dataclass(frozen=True)
@@ -239,34 +247,61 @@ def _channel_llrs(payload, spec, pattern, channel_cfg: chan.ChannelConfig, rng) 
     return batch
 
 
+def _run_batch(components, cfg: SimConfig, channel_cfg: chan.ChannelConfig,
+               point_index: int, batch_index: int, frames: int) -> tuple[int, int]:
+    """Frame and information-bit errors of one seeded batch of ``frames`` frames.
+
+    The batch's information bits and CRC are drawn whole; the chain, from
+    placement to error count, then runs on consecutive blocks of
+    ``max(1, _BLOCK_COLUMNS // paths)`` frames, ``paths`` being the list size
+    for SCL and 1 for SC.
+    """
+    _, spec, pattern, crc_poly = components
+    if cfg.decoder == "sc":
+        decode, paths = codec.sc_decode, 1
+    else:
+        decode, paths = partial(codec.scl_decode, list_size=cfg.list_size), cfg.list_size
+    rng = default_rng([cfg.master_seed, point_index, batch_index])
+    info = rng.integers(0, 2, size=(frames, cfg.k), dtype=np.uint8)
+    payload = info if crc_poly is None else codec.crc_append(info, crc_poly)
+    step = max(1, _BLOCK_COLUMNS // paths)
+    frame_errors = bit_errors = 0
+    for lo in range(0, frames, step):
+        # Nested calls, so the decoder's input and output are freed once read.
+        payload_hat = codec.extract_payload(
+            decode(_channel_llrs(payload[lo : lo + step], spec, pattern, channel_cfg, rng),
+                   spec), spec)
+        errs = payload_hat[:, : cfg.k] != info[lo : lo + step]
+        frame_errors += int(errs.any(axis=1).sum())
+        bit_errors += int(errs.sum())
+    return frame_errors, bit_errors
+
+
 def run_point(cfg: SimConfig, sweep_value: float, *, _components=None) -> PointResult:
-    """Monte-Carlo loop for one sweep point; deterministic given the config."""
+    """Monte-Carlo loop for one sweep point; deterministic given the config.
+
+    Runs batches of ``batch_size`` frames (the last one cut at
+    ``max_frames``) through :func:`_run_batch` and sums their counts,
+    stopping after the first batch that reaches ``max_frames`` or
+    ``min_frame_errors``. The chain's memory follows the block of
+    ``_BLOCK_COLUMNS`` columns, not ``batch_size``.
+    """
     if _components is None:
         _components = build_components(cfg)
-    _, spec, pattern, crc_poly = _components
     try:
         point_index = cfg.sweep.index(sweep_value)
     except ValueError:
         raise ValueError(f"sweep value {sweep_value!r} is not in the sweep {cfg.sweep}") from None
     channel_cfg = cfg.channel_config(sweep_value)
 
-    decode = (codec.sc_decode if cfg.decoder == "sc"
-              else partial(codec.scl_decode, list_size=cfg.list_size))
-
     start = time.perf_counter()
     frames = frame_errors = bit_errors = 0
     batch_index = 0
     while frames < cfg.max_frames and frame_errors < cfg.min_frame_errors:
         B = min(cfg.batch_size, cfg.max_frames - frames)
-        rng = default_rng([cfg.master_seed, point_index, batch_index])
-        info = rng.integers(0, 2, size=(B, cfg.k), dtype=np.uint8)
-        payload = info if crc_poly is None else codec.crc_append(info, crc_poly)
-        # Nested calls, so the decoder's input and output are freed once read.
-        payload_hat = codec.extract_payload(
-            decode(_channel_llrs(payload, spec, pattern, channel_cfg, rng), spec), spec)
-        errs = payload_hat[:, : cfg.k] != info
-        frame_errors += int(errs.any(axis=1).sum())
-        bit_errors += int(errs.sum())
+        errors = _run_batch(_components, cfg, channel_cfg, point_index, batch_index, B)
+        frame_errors += errors[0]
+        bit_errors += errors[1]
         frames += B
         batch_index += 1
 

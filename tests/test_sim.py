@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import butterfly_zero_set
+from oracles import butterfly_zero_set, run_batch_reference
 
 from polarpunct import channel, codec, puncture, sim
 from polarpunct.sim import (
@@ -155,22 +157,100 @@ class TestRunPoint:
         assert res.frames < 100_000
 
 
+@st.composite
+def _small_configs(draw):
+    """A valid small config: SC or SCL (L = 1-4), CRC 0 or 8, AWGN or BEC, any
+    puncturing, batches off the block size, and a stop on frame errors that
+    may come in the middle of the stream."""
+    crc = draw(st.sampled_from((0, 8)))
+    n = draw(st.integers(4 if crc else 2, 5))
+    N = 1 << n
+    k = draw(st.integers(1, N - crc - 1))
+    puncturing = draw(st.sampled_from(sim.PUNCTURINGS))
+    q = 0 if puncturing == "none" else draw(st.integers(1, N - k - crc))
+    coded = (tuple(draw(st.lists(st.integers(0, N - 1), min_size=q, max_size=q, unique=True)))
+             if puncturing == "custom" else None)
+    if draw(st.booleans()):
+        channel_kw = dict(channel="awgn", construction="ga",
+                          sweep=(draw(st.sampled_from((-2.0, 0.0, 1.0, 3.0))),))
+    else:
+        eps = draw(st.sampled_from((0.1, 0.3, 0.5)))
+        channel_kw = dict(channel="bec", construction=f"bec:{eps}", sweep=(eps,))
+    return SimConfig(n=n, k=k, crc_bits=crc, puncturing=puncturing, q=q, custom_coded=coded,
+                     decoder=draw(st.sampled_from(sim.DECODERS)),
+                     list_size=draw(st.integers(1, 4)),
+                     max_frames=draw(st.integers(1, 120)),
+                     min_frame_errors=draw(st.integers(1, 60)),
+                     batch_size=draw(st.integers(1, 50)),
+                     master_seed=draw(st.integers(0, 2**16)), **channel_kw)
+
+
+class TestRunBatch:
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(_small_configs(), st.integers(1, 64), st.integers(0, 3))
+    @example(SimConfig(n=3, k=4, puncturing="qup", q=2, decoder="scl", list_size=4,
+                       sweep=(1.0,), max_frames=70, min_frame_errors=4, batch_size=23), 5, 0)
+    @example(SimConfig(n=5, k=12, crc_bits=8, puncturing="wqp", q=9, decoder="scl",
+                       list_size=3, sweep=(0.0,), max_frames=101, min_frame_errors=40,
+                       batch_size=37), 7, 1)
+    @example(SimConfig(n=4, k=5, puncturing="custom", q=3, custom_coded=(2, 9, 14),
+                       channel="bec", construction="bec:0.5", sweep=(0.5,), max_frames=90,
+                       min_frame_errors=5, batch_size=29), 64, 2)
+    def test_blocks_equal_the_whole_batch(self, cfg, columns, batch_index):
+        """Any block size gives the counts of the whole batch sent at once,
+        and ``run_point`` the counts it gives at the default block size."""
+        components = build_components(cfg)
+        channel_cfg = cfg.channel_config(cfg.sweep[0])
+        frames = cfg.batch_size
+        expected = run_batch_reference(components, cfg, channel_cfg, 0, batch_index, frames)
+        default = run_point(cfg, cfg.sweep[0], _components=components)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_BLOCK_COLUMNS", columns)
+            blocked = sim._run_batch(components, cfg, channel_cfg, 0, batch_index, frames)
+            assert run_point(cfg, cfg.sweep[0], _components=components) == default
+        assert blocked == expected
+
+
+def _paper_point(frames: int, **kw) -> SimConfig:
+    """The paper's QUP point (N = 256, K = 93, Q = 70): one batch of ``frames``
+    frames, no stop on errors."""
+    return SimConfig(n=8, k=93, q=70, puncturing="qup", sweep=(1.0, 2.0, 3.0, 4.0),
+                     batch_size=frames, max_frames=frames, min_frame_errors=frames + 1, **kw)
+
+
+def _steady_state_peak(cfg: SimConfig) -> int:
+    """tracemalloc peak of ``run_point`` at 1 dB, after a first run fills the caches."""
+    components = build_components(cfg)
+    run_point(cfg, 1.0, _components=components)
+    tracemalloc.start()
+    try:
+        run_point(cfg, 1.0, _components=components)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestRunPointMemory:
     def test_steady_state_sc_batch_peak(self):
         """A 1000-frame paper-point SC batch holds at most 3.75 (N, B) float64
         arrays at its peak: the depunctured LLRs, the decoder's tree-order
         copy and its node LLRs, and no other full-batch array of the chain."""
-        cfg = SimConfig(n=8, k=93, q=70, puncturing="qup", sweep=(1.0, 2.0, 3.0, 4.0),
-                        batch_size=1000, max_frames=1000, min_frame_errors=1001)
-        components = build_components(cfg)
-        run_point(cfg, 1.0, _components=components)  # fills the caches
-        tracemalloc.start()
-        try:
-            run_point(cfg, 1.0, _components=components)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.75 * cfg.size * cfg.batch_size * 8
+        cfg = _paper_point(1000)
+        assert _steady_state_peak(cfg) <= 3.75 * cfg.size * cfg.batch_size * 8
+
+    def test_sc_batch_of_two_blocks_peak(self):
+        """An SC batch of two 4096-frame blocks peaks like one block: the same
+        3.75 gate with the block in place of B."""
+        cfg = _paper_point(8192)
+        assert _steady_state_peak(cfg) <= 3.75 * cfg.size * 4096 * 8
+
+    @pytest.mark.parametrize("frames", [1000, 4000])
+    def test_scl_batch_peak_does_not_grow_with_batch_size(self, frames):
+        """A CRC-8 SCL (L = 8) batch peaks within two (N, 4096) float64 arrays
+        whatever its size: the list decoder's buffers span one block of 4096
+        (frame, path) columns, not the batch."""
+        cfg = _paper_point(frames, crc_bits=8, decoder="scl", list_size=8)
+        assert _steady_state_peak(cfg) <= 2 * cfg.size * 4096 * 8
 
 
 class TestExactScOnBec:
