@@ -107,8 +107,10 @@ def _config_from_args(args) -> sim.SimConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
+    formats = tuple(args.format.split(","))
+    sim.check_formats(formats)  # before the sweep, which a bad format would waste
     result = sim.run_sweep(cfg, workers=args.workers)
-    paths = sim.emit(result, args.out, tuple(args.format.split(",")))
+    paths = sim.emit(result, args.out, formats)
     for point in result.points:
         print(f"{point.sweep_param:g}: frames={point.frames} "
               f"FER={point.fer:.4g} BER={point.ber:.4g}")

@@ -35,11 +35,19 @@ Conventions (fixed so results are bit-exact reproducible):
   node, ``x[:half]`` and ``x[half:]``, are each one contiguous block and
   every node step is one vector operation over all frames. Inputs and
   outputs keep the caller's (..., N) shape.
-* The node kernels ``_boxplus`` and ``_g`` run in leading-axis row blocks
-  of about ``_BLOCK`` elements when an operand holds more than that, so
-  their temporaries stay in cache. Blocking is bit-identical: every ufunc
-  in them is elementwise, and numpy's SIMD exp and log1p do not depend on
-  where an element sits in the array.
+* The decoders read the caller's LLRs in place, as a position-major
+  ``(N, B)`` view in coded order (no copy for ``depuncture_rx``'s output),
+  and make no copy of them in decoding-tree (bit-reversed) order. Only the
+  root reads them: its tree row ``i < N/2`` is coded row ``perm[i]`` and
+  its row ``N/2 + i`` is coded row ``perm[i] + 1``, ``perm`` the n-bit
+  reversal. ``_at_root`` gathers those halves for the root's f and g
+  steps one row block at a time; every node below the root is as in the
+  tree-order layout.
+* The node kernels ``_boxplus`` and ``_g``, and the root step, run in
+  leading-axis row blocks of about ``_BLOCK`` elements when an operand
+  holds more than that, so their temporaries stay in cache. Blocking is
+  bit-identical: every ufunc in them is elementwise, and numpy's SIMD exp
+  and log1p do not depend on where an element sits in the array.
 """
 
 from __future__ import annotations
@@ -244,15 +252,44 @@ def _in_row_blocks(kernel, *operands: np.ndarray) -> np.ndarray:
     return out
 
 
+def _at_root(kernel, llr: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+    """``kernel(a, b, *rest)`` over the root's halves ``a`` and ``b``, read from
+    position-major coded-order LLRs ``llr`` of ``N`` rows.
+
+    Tree row ``i < N/2`` is coded row ``perm[i]`` and tree row ``N/2 + i``
+    coded row ``perm[i] + 1``, ``perm`` the n-bit reversal. The halves are
+    gathered one row block of about ``_BLOCK`` output elements at a time,
+    the blocks of :func:`_in_row_blocks`, so no tree-order copy of ``llr``
+    is made; a root step of at most one block gathers them whole, like
+    the node kernels. ``rest`` shares the leading axis of ``N/2`` rows.
+    """
+    half = len(llr) // 2
+    rows = bit_reversal_permutation(half.bit_length())[:half]
+    odd = llr[1:]  # odd[r] is llr[r + 1], with no index array to add
+    size = llr.size // 2
+    for x in rest:
+        size = max(size, x.size)
+    if size <= _BLOCK:
+        return kernel(llr.take(rows, axis=0), odd.take(rows, axis=0), *rest)
+    out = np.empty(np.broadcast_shapes(llr[:half].shape, *(x.shape for x in rest)))
+    step = max(1, _BLOCK * half // out.size)
+    for i in range(0, half, step):
+        r = rows[i : i + step]
+        out[i : i + step] = kernel(llr.take(r, axis=0), odd.take(r, axis=0),
+                                   *(x[i : i + step] for x in rest))
+    return out
+
+
 # --------------------------------------------------------------------------- SC
 
-def _tree_order(llr, spec: PolarCodeSpec) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Channel LLRs as one C-contiguous float64 ``(N, B)`` array, position-major
-    in decoding-tree (bit-reversed) order, and the batch shape the decoded
-    output takes back."""
+def _coded_rows(llr, spec: PolarCodeSpec) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Channel LLRs as a float64 position-major ``(N, B)`` array in coded order,
+    and the batch shape the decoded output takes back. No copy of a float64
+    ``llr`` whose batch axes merge into one, such as a C-contiguous batch
+    or ``depuncture_rx``'s output: a transposed view of it."""
     llr = np.asarray(llr, dtype=np.float64)
     _check_length(llr, "LLR", spec.size, "N")
-    return llr.reshape(-1, spec.size).T[bit_reversal_permutation(spec.n)], llr.shape[:-1]
+    return llr.reshape(-1, spec.size).T, llr.shape[:-1]
 
 
 def sc_decode(llr, spec: PolarCodeSpec) -> np.ndarray:
@@ -278,10 +315,13 @@ def sc_decode(llr, spec: PolarCodeSpec) -> np.ndarray:
     plain sum ``a + b``, which equals ``g(a, b, 0)`` bit for bit. The
     output is the same as from the full tree.
 
-    Every node array is position-major ``(m, B)``, so its halves
-    ``node[:half]`` and ``node[half:]`` are contiguous blocks.
+    Every node array below the root is position-major ``(m, B)`` in tree
+    order, so its halves ``node[:half]`` and ``node[half:]`` are contiguous
+    blocks. The root's step is written once, outside the recursion: it
+    reads its halves from ``llr`` in coded order through
+    :func:`_at_root`, so no tree-order copy of ``llr`` is made.
     """
-    w, batch_shape = _tree_order(llr, spec)
+    v, batch_shape = _coded_rows(llr, spec)
     info = spec.info_set
 
     def rec(node_llr: np.ndarray, lo: int, first: int, last: int) -> np.ndarray:
@@ -303,7 +343,25 @@ def sc_decode(llr, spec: PolarCodeSpec) -> np.ndarray:
         x_right = rec(_g(a, b, x_left), mid, split, last)
         return np.concatenate([x_left ^ x_right, x_right])
 
-    x = rec(w, 0, 0, len(info)) if info else np.zeros(w.shape, dtype=np.uint8)
+    N, K = len(v), len(info)
+    if not info:
+        x = np.zeros(v.shape, dtype=np.uint8)
+    elif N == 1:
+        x = rec(v, 0, 0, K)
+    else:
+        # rec's node step at the root, with the halves gathered by _at_root.
+        half = N // 2
+        split = bisect_left(info, half)
+        if split == 0:
+            x_right = rec(_at_root(np.add, v), half, 0, K)
+            x = np.concatenate([x_right, x_right])
+        else:
+            x_left = rec(_at_root(_boxplus_rows, v), 0, 0, split)
+            if split == K:
+                x = np.concatenate([x_left, np.zeros_like(x_left)])
+            else:
+                x_right = rec(_at_root(_g_rows, v, x_left), half, split, K)
+                x = np.concatenate([x_left ^ x_right, x_right])
     return _frame_major(_butterfly(x), batch_shape)
 
 
@@ -340,12 +398,17 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int) -> np.ndarray:
 
     No decision is stored: each final path's ``u`` is the butterfly (an
     involution) of its partial sums at the root.
+
+    As in :func:`sc_decode`, the root's step is written once, outside the
+    recursion, and reads its halves from ``llr`` in coded order through
+    :func:`_at_root`; the channel LLRs have one path, so no permutation
+    ever gathers them.
     """
     if list_size < 1:
         raise ValueError(f"list size must be >= 1, got {list_size}")
     crc = crc_for_width(spec.crc_bits) if spec.crc_bits else None
-    w, batch_shape = _tree_order(llr, spec)
-    B, L = w.shape[1], list_size
+    v, batch_shape = _coded_rows(llr, spec)
+    B, L = v.shape[1], list_size
     frozen = spec.frozen_mask
     pm = np.full((B, L), np.inf)
     pm[:, 0] = 0.0
@@ -387,8 +450,17 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int) -> np.ndarray:
             return x, right if left is None else left
         return x, left[bidx, right]
 
+    p = v[..., None]
+    if len(p) == 1:
+        x = rec(p, 0)[0]
+    else:
+        # rec's node step at the root, with the halves gathered by _at_root.
+        x_left, _ = rec(_at_root(_boxplus_rows, p), 0)
+        x_right, right = rec(_at_root(_g_rows, p, x_left), len(p) // 2)
+        x_left = gather(x_left, right) ^ x_right
+        x = np.concatenate([x_left, np.broadcast_to(x_right, x_left.shape)])
     # A code without an information leaf keeps one path, and its path 0 has the best metric.
-    u = _butterfly(rec(w[..., None], 0)[0])
+    u = _butterfly(x)
     ok = (crc_check(u[spec.info_positions].transpose(1, 2, 0), crc) if crc is not None
           else np.ones(pm.shape, dtype=bool))
     # CRC-valid paths first, then the lowest metric; the stable sort ties to the lower path.

@@ -365,11 +365,22 @@ def write_atomic(path: str, write) -> None:
             os.remove(tmp)
 
 
-def emit(result: SimResult, out_prefix: str, formats: tuple[str, ...] = ("json", "csv")) -> list[str]:
+FORMATS = ("json", "csv")
+
+
+def check_formats(formats: tuple[str, ...]) -> None:
+    """``ValueError`` naming the first of ``formats`` that :func:`emit` cannot write."""
+    for fmt in formats:
+        if fmt not in FORMATS:
+            raise ValueError(f"unknown format {fmt!r}; choose from {', '.join(FORMATS)}")
+
+
+def emit(result: SimResult, out_prefix: str, formats: tuple[str, ...] = FORMATS) -> list[str]:
     """Write the result as <prefix>.json and/or <prefix>.csv; returns the paths.
 
-    Each file goes through :func:`write_atomic`, so a failed write leaves
-    any earlier file whole.
+    Every format is checked before any file is written. Each file goes
+    through :func:`write_atomic`, so a failed write leaves any earlier
+    file whole.
     """
     def write_json(fh) -> None:
         json.dump(result.to_json_dict(), fh, indent=2)
@@ -378,10 +389,9 @@ def emit(result: SimResult, out_prefix: str, formats: tuple[str, ...] = ("json",
     def write_csv(fh) -> None:
         fh.write(result_csv(result))
 
+    check_formats(formats)
     paths = []
     for fmt in formats:
-        if fmt not in ("json", "csv"):
-            raise ValueError(f"unknown format {fmt!r}")
         path = f"{out_prefix}.{fmt}"
         write_atomic(path, write_json if fmt == "json" else write_csv)
         paths.append(path)

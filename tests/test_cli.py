@@ -201,6 +201,18 @@ class TestSimulateCommand:
         data = json.loads((tmp_path / "run.json").read_text())
         assert data["config"]["sweep"] == [2.0]
 
+    @pytest.mark.parametrize("formats", ["xlsx", "json,xlsx", "csv,json,xlsx"])
+    def test_unknown_format_rejected_before_the_sweep(self, tmp_path, capsys, monkeypatch,
+                                                      formats):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("run_sweep called")
+
+        monkeypatch.setattr(sim, "run_sweep", no_sweep)
+        assert run_cli("simulate", "--n", "4", "--k", "6", "--sweep", "1",
+                       "--format", formats, "--out", str(tmp_path / "run")) == 1
+        assert capsys.readouterr().err.startswith("error: unknown format 'xlsx'")
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_sweep_flag(self, capsys):
         assert run_cli("simulate", "--n", "4", "--k", "6", "--sweep", "1,x") == 1
         assert capsys.readouterr().err.startswith("error:")

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import json
+import weakref
 from functools import reduce
 from pathlib import Path
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from polarpunct import codec
 from polarpunct.bitops import bit_reversal_permutation, bit_reverse
 from polarpunct.codec import (
     CRC8_0X9B,
@@ -626,3 +629,32 @@ class TestDecoderFrontEnd:
         frames = llr.reshape(-1, 8)
         alone = [decode(frame, self.spec) for frame in frames]
         assert np.array_equal(out.reshape(-1, 8), np.array(alone, dtype=np.uint8).reshape(-1, 8))
+
+    @pytest.mark.parametrize("frames", [None, 2 * _BLOCK // 8 + 1], ids=["frame", "blocks"])
+    def test_input_freed_on_return(self, decode, frames):
+        # The recursion refers to itself, a reference cycle: LLRs it captured
+        # would live until the collector ran, so it must take them as arguments.
+        # Position-major like depuncture_rx's output, so the decoder reads a
+        # view of it; "blocks" gathers the root in more than one block.
+        data = np.random.default_rng(6).normal(1.0, 2.0, (8,) if frames is None else (8, frames))
+        ref = weakref.ref(data)
+        gc.disable()
+        try:
+            decode(data.T, self.spec)
+            del data
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(case=st.one_of(_code_and_llrs(), _code_and_llrs(crc_bits=CRC8_0X9B.width)),
+           block=st.integers(1, 40))
+    def test_any_block_size_gives_the_same_bits(self, decode, case, block):
+        # The root gathers its halves from the coded-order input block by
+        # block; frame-major and position-major inputs read the same values.
+        spec, llr = case
+        want = decode(llr, spec)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codec, "_BLOCK", block)
+            for x in (llr, np.ascontiguousarray(llr.T).T):
+                assert np.array_equal(decode(x, spec), want)

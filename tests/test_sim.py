@@ -232,17 +232,18 @@ def _steady_state_peak(cfg: SimConfig) -> int:
 
 class TestRunPointMemory:
     def test_steady_state_sc_batch_peak(self):
-        """A 1000-frame paper-point SC batch holds at most 3.75 (N, B) float64
-        arrays at its peak: the depunctured LLRs, the decoder's tree-order
-        copy and its node LLRs, and no other full-batch array of the chain."""
+        """A 1000-frame paper-point SC batch holds at most 2.5 (N, B) float64
+        arrays at its peak: the depunctured LLRs, which the decoder reads in
+        place, and its node LLRs (about one more array), with no tree-order
+        copy and no other full-batch array of the chain."""
         cfg = _paper_point(1000)
-        assert _steady_state_peak(cfg) <= 3.75 * cfg.size * cfg.batch_size * 8
+        assert _steady_state_peak(cfg) <= 2.5 * cfg.size * cfg.batch_size * 8
 
     def test_sc_batch_of_two_blocks_peak(self):
         """An SC batch of two 4096-frame blocks peaks like one block: the same
-        3.75 gate with the block in place of B."""
+        2.5 gate with the block in place of B."""
         cfg = _paper_point(8192)
-        assert _steady_state_peak(cfg) <= 3.75 * cfg.size * 4096 * 8
+        assert _steady_state_peak(cfg) <= 2.5 * cfg.size * 4096 * 8
 
     @pytest.mark.parametrize("frames", [1000, 4000])
     def test_scl_batch_peak_does_not_grow_with_batch_size(self, frames):
@@ -396,10 +397,13 @@ class TestEmit:
         with pytest.raises(OSError):
             emit(res, "/nonexistent_dir_zz/out")
 
-    def test_unknown_format(self):
+    def test_unknown_format(self, tmp_path):
+        # Every format is checked before the first file is written.
         res = run_sweep(tiny_cfg(max_frames=100))
-        with pytest.raises(ValueError):
-            emit(res, "x", formats=("yaml",))
+        for formats in [("yaml",), ("json", "yaml")]:
+            with pytest.raises(ValueError, match="unknown format 'yaml'"):
+                emit(res, str(tmp_path / "out"), formats=formats)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("error", [OSError("disk full"), RuntimeError("disk full")])
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, error):
