@@ -64,8 +64,9 @@ class ChannelConfig:
 def puncture_tx(x, pattern: PuncturePattern) -> np.ndarray:
     """Drop the pattern's coded positions; survivors keep ascending order."""
     x = np.asarray(x)
-    if x.shape[-1] != pattern.size:
-        raise ValueError(f"codeword length {x.shape[-1]} != N = {pattern.size}")
+    if x.ndim == 0 or x.shape[-1] != pattern.size:
+        got = x.shape[-1] if x.ndim else "undefined"
+        raise ValueError(f"codeword length {got} != N = {pattern.size} (shape {x.shape})")
     return x[..., pattern.kept_positions]
 
 
@@ -113,9 +114,10 @@ def depuncture_rx(rx_llr, pattern: PuncturePattern) -> np.ndarray:
     batch of at most one axis, so a decoder's gather of positions reads
     whole contiguous rows."""
     rx_llr = np.asarray(rx_llr, dtype=np.float64)
-    if rx_llr.shape[-1] != pattern.transmitted:
-        raise ValueError(
-            f"received length {rx_llr.shape[-1]} != N - Q = {pattern.transmitted}")
+    if rx_llr.ndim == 0 or rx_llr.shape[-1] != pattern.transmitted:
+        got = rx_llr.shape[-1] if rx_llr.ndim else "undefined"
+        raise ValueError(f"received length {got} != N - Q = {pattern.transmitted} "
+                         f"(shape {rx_llr.shape})")
     batch_shape = rx_llr.shape[:-1]
     # Explicit, not -1: a reshape cannot infer a dimension of an empty batch.
     frames = math.prod(batch_shape)

@@ -37,17 +37,15 @@ Conventions (fixed so results are bit-exact reproducible):
   outputs keep the caller's (..., N) shape.
 * The decoders read the caller's LLRs in place, as a position-major
   ``(N, B)`` view in coded order (no copy for ``depuncture_rx``'s output),
-  and make no copy of them in decoding-tree (bit-reversed) order. Only the
-  root reads them: its tree row ``i < N/2`` is coded row ``perm[i]`` and
-  its row ``N/2 + i`` is coded row ``perm[i] + 1``, ``perm`` the n-bit
-  reversal. ``_at_root`` gathers those halves for the root's f and g
-  steps one row block at a time; every node below the root is as in the
-  tree-order layout.
-* The node kernels ``_boxplus`` and ``_g``, and the root step, run in
-  leading-axis row blocks of about ``_BLOCK`` elements when an operand
-  holds more than that, so their temporaries stay in cache. Blocking is
-  bit-identical: every ufunc in them is elementwise, and numpy's SIMD exp
-  and log1p do not depend on where an element sits in the array.
+  and make no copy of them in decoding-tree (bit-reversed) order. Every
+  node step, the root's included, is one call of ``_step``: it reads a
+  node's halves ``x[:half]`` and ``x[half:]``, or at the root the coded
+  rows ``perm[i]`` and ``perm[i] + 1`` of tree rows ``i`` and ``N/2 + i``
+  (``perm`` the n-bit reversal, ``i < N/2``). When an operand holds more
+  than ``_BLOCK`` elements it runs in leading-axis row blocks, gathering
+  each block's halves alone, so its temporaries stay in cache. Blocking is
+  bit-identical: every ufunc in the kernels is elementwise, and numpy's
+  SIMD exp and log1p do not depend on where an element sits in the array.
 """
 
 from __future__ import annotations
@@ -218,78 +216,59 @@ def _boxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Exactly zero when either input is zero, which keeps punctured (zero-LLR)
     positions punctured through the tree.
     """
-    if a.size > _BLOCK:
-        return _in_row_blocks(_boxplus_rows, a, b)
-    return _boxplus_rows(a, b)
-
-
-def _boxplus_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
     out += np.log1p(np.exp(-np.abs(a + b))) - np.log1p(np.exp(-np.abs(a - b)))
     return out
 
 
 def _g(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    if a.size > _BLOCK or c.size > _BLOCK:
-        return _in_row_blocks(_g_rows, a, b, c)
-    return _g_rows(a, b, c)
-
-
-def _g_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return b + (1.0 - 2.0 * c) * a
 
 
-def _in_row_blocks(kernel, *operands: np.ndarray) -> np.ndarray:
-    """``kernel(*operands)`` computed over leading-axis row blocks of about
-    ``_BLOCK`` output elements each (at least one row), so that the
-    kernel's temporaries stay in cache. The operands share the leading axis
-    and broadcast on the others; the output is float64."""
-    out = np.empty(np.broadcast_shapes(*(x.shape for x in operands)))
-    rows = len(out)
-    step = max(1, _BLOCK * rows // out.size)
-    for i in range(0, rows, step):
-        out[i : i + step] = kernel(*(x[i : i + step] for x in operands))
-    return out
+def _step(kernel, node: np.ndarray, rows: np.ndarray | None, *rest: np.ndarray) -> np.ndarray:
+    """``kernel(a, b, *rest)`` over the halves ``a`` and ``b`` of a tree node.
 
-
-def _at_root(kernel, llr: np.ndarray, *rest: np.ndarray) -> np.ndarray:
-    """``kernel(a, b, *rest)`` over the root's halves ``a`` and ``b``, read from
-    position-major coded-order LLRs ``llr`` of ``N`` rows.
-
-    Tree row ``i < N/2`` is coded row ``perm[i]`` and tree row ``N/2 + i``
-    coded row ``perm[i] + 1``, ``perm`` the n-bit reversal. The halves are
-    gathered one row block of about ``_BLOCK`` output elements at a time,
-    the blocks of :func:`_in_row_blocks`, so no tree-order copy of ``llr``
-    is made; a root step of at most one block gathers them whole, like
-    the node kernels. ``rest`` shares the leading axis of ``N/2`` rows.
+    Below the root (``rows`` is ``None``) the halves are ``node[:half]`` and
+    ``node[half:]``. At the root ``node`` is the channel LLRs in coded order
+    and ``rows`` the first half of the n-bit reversal: the halves are
+    ``node[rows]`` and ``node[1:][rows]``. ``rest`` shares the leading axis
+    of ``half`` rows. When an operand holds more than ``_BLOCK`` elements
+    the step runs over leading-axis row blocks of about ``_BLOCK`` output
+    elements each (at least one row), gathering each block's halves alone;
+    the output is float64.
     """
-    half = len(llr) // 2
-    rows = bit_reversal_permutation(half.bit_length())[:half]
-    odd = llr[1:]  # odd[r] is llr[r + 1], with no index array to add
-    size = llr.size // 2
+    half = len(node) // 2
+    if rows is None:
+        a, b = node[:half], node[half:]
+    else:
+        a, b = node, node[1:]
+    size = node.size // 2
     for x in rest:
-        size = max(size, x.size)
+        if x.size > size:
+            size = x.size
     if size <= _BLOCK:
-        return kernel(llr.take(rows, axis=0), odd.take(rows, axis=0), *rest)
-    out = np.empty(np.broadcast_shapes(llr[:half].shape, *(x.shape for x in rest)))
+        return kernel(a, b, *rest) if rows is None else kernel(a[rows], b[rows], *rest)
+    out = np.empty(np.broadcast_shapes(node[:half].shape, *(x.shape for x in rest)))
     step = max(1, _BLOCK * half // out.size)
     for i in range(0, half, step):
-        r = rows[i : i + step]
-        out[i : i + step] = kernel(llr.take(r, axis=0), odd.take(r, axis=0),
-                                   *(x[i : i + step] for x in rest))
+        s = slice(i, i + step)
+        r = s if rows is None else rows[s]
+        out[s] = kernel(a[r], b[r], *(x[s] for x in rest))
     return out
 
 
 # --------------------------------------------------------------------------- SC
 
-def _coded_rows(llr, spec: PolarCodeSpec) -> tuple[np.ndarray, tuple[int, ...]]:
+def _coded_rows(llr, spec: PolarCodeSpec) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Channel LLRs as a float64 position-major ``(N, B)`` array in coded order,
-    and the batch shape the decoded output takes back. No copy of a float64
-    ``llr`` whose batch axes merge into one, such as a C-contiguous batch
-    or ``depuncture_rx``'s output: a transposed view of it."""
+    the root's ``rows`` for :func:`_step`, and the batch shape the decoded
+    output takes back. No copy of a float64 ``llr`` whose batch axes merge
+    into one, such as a C-contiguous batch or ``depuncture_rx``'s output: a
+    transposed view of it."""
     llr = np.asarray(llr, dtype=np.float64)
     _check_length(llr, "LLR", spec.size, "N")
-    return llr.reshape(-1, spec.size).T, llr.shape[:-1]
+    rows = bit_reversal_permutation(spec.n)[: spec.size // 2]
+    return llr.reshape(-1, spec.size).T, rows, llr.shape[:-1]
 
 
 def sc_decode(llr, spec: PolarCodeSpec) -> np.ndarray:
@@ -316,52 +295,34 @@ def sc_decode(llr, spec: PolarCodeSpec) -> np.ndarray:
     output is the same as from the full tree.
 
     Every node array below the root is position-major ``(m, B)`` in tree
-    order, so its halves ``node[:half]`` and ``node[half:]`` are contiguous
-    blocks. The root's step is written once, outside the recursion: it
-    reads its halves from ``llr`` in coded order through
-    :func:`_at_root`, so no tree-order copy of ``llr`` is made.
+    order; the root reads ``llr`` in coded order (see :func:`_step`).
     """
-    v, batch_shape = _coded_rows(llr, spec)
+    v, rows, batch_shape = _coded_rows(llr, spec)
     info = spec.info_set
 
-    def rec(node_llr: np.ndarray, lo: int, first: int, last: int) -> np.ndarray:
-        m = len(node_llr)
+    def rec(node: np.ndarray, rows: np.ndarray | None, lo: int, first: int,
+            last: int) -> np.ndarray:
+        m = len(node)
         if m == 1:
             # Only information leaves are reached; frozen ones are skipped.
-            return (node_llr < 0).astype(np.uint8)
+            return (node < 0).astype(np.uint8)
         half = m // 2
         mid = lo + half
         split = bisect_left(info, mid, first, last)
-        a, b = node_llr[:half], node_llr[half:]
         # At most one child is skipped: a node with two Rate-0 children is Rate-0.
         if split == first:
-            x_right = rec(a + b, mid, split, last)
+            x_right = rec(_step(np.add, node, rows), None, mid, split, last)
             return np.concatenate([x_right, x_right])
-        x_left = rec(_boxplus(a, b), lo, first, split)
+        x_left = rec(_step(_boxplus, node, rows), None, lo, first, split)
         if split == last:
             return np.concatenate([x_left, np.zeros_like(x_left)])
-        x_right = rec(_g(a, b, x_left), mid, split, last)
+        x_right = rec(_step(_g, node, rows, x_left), None, mid, split, last)
         return np.concatenate([x_left ^ x_right, x_right])
 
-    N, K = len(v), len(info)
-    if not info:
-        x = np.zeros(v.shape, dtype=np.uint8)
-    elif N == 1:
-        x = rec(v, 0, 0, K)
+    if info:
+        x = rec(v, rows, 0, 0, len(info))
     else:
-        # rec's node step at the root, with the halves gathered by _at_root.
-        half = N // 2
-        split = bisect_left(info, half)
-        if split == 0:
-            x_right = rec(_at_root(np.add, v), half, 0, K)
-            x = np.concatenate([x_right, x_right])
-        else:
-            x_left = rec(_at_root(_boxplus_rows, v), 0, 0, split)
-            if split == K:
-                x = np.concatenate([x_left, np.zeros_like(x_left)])
-            else:
-                x_right = rec(_at_root(_g_rows, v, x_left), half, split, K)
-                x = np.concatenate([x_left ^ x_right, x_right])
+        x = np.zeros(v.shape, dtype=np.uint8)
     return _frame_major(_butterfly(x), batch_shape)
 
 
@@ -399,15 +360,13 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int) -> np.ndarray:
     No decision is stored: each final path's ``u`` is the butterfly (an
     involution) of its partial sums at the root.
 
-    As in :func:`sc_decode`, the root's step is written once, outside the
-    recursion, and reads its halves from ``llr`` in coded order through
-    :func:`_at_root`; the channel LLRs have one path, so no permutation
-    ever gathers them.
+    As in :func:`sc_decode`, the root reads ``llr`` in coded order; the
+    channel LLRs have one path, so no permutation ever gathers them.
     """
     if list_size < 1:
         raise ValueError(f"list size must be >= 1, got {list_size}")
     crc = crc_for_width(spec.crc_bits) if spec.crc_bits else None
-    v, batch_shape = _coded_rows(llr, spec)
+    v, rows, batch_shape = _coded_rows(llr, spec)
     B, L = v.shape[1], list_size
     frozen = spec.frozen_mask
     pm = np.full((B, L), np.inf)
@@ -419,10 +378,11 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int) -> np.ndarray:
         if perm is None or buf.shape[2] == 1:
             return buf
         # One gather over the flattened (frame, path) axis of every position.
-        rows = (bidx * L + perm).ravel()
-        return buf.reshape(len(buf), -1).take(rows, axis=1).reshape(buf.shape)
+        cols = (bidx * L + perm).ravel()
+        return buf.reshape(len(buf), -1).take(cols, axis=1).reshape(buf.shape)
 
-    def rec(p: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray | None]:
+    def rec(p: np.ndarray, rows: np.ndarray | None,
+            lo: int) -> tuple[np.ndarray, np.ndarray | None]:
         nonlocal pm
         m = len(p)
         if m == 1:
@@ -441,24 +401,16 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int) -> np.ndarray:
             pm = cand[bidx, order]
             return dec[None], src
         half = m // 2
-        x_left, left = rec(_boxplus(p[:half], p[half:]), lo)
+        x_left, left = rec(_step(_boxplus, p, rows), None, lo)
         p = gather(p, left)
-        x_right, right = rec(_g(p[:half], p[half:], x_left), lo + half)
+        x_right, right = rec(_step(_g, p, rows, x_left), None, lo + half)
         x_left = gather(x_left, right) ^ x_right
         x = np.concatenate([x_left, np.broadcast_to(x_right, x_left.shape)])
         if left is None or right is None:
             return x, right if left is None else left
         return x, left[bidx, right]
 
-    p = v[..., None]
-    if len(p) == 1:
-        x = rec(p, 0)[0]
-    else:
-        # rec's node step at the root, with the halves gathered by _at_root.
-        x_left, _ = rec(_at_root(_boxplus_rows, p), 0)
-        x_right, right = rec(_at_root(_g_rows, p, x_left), len(p) // 2)
-        x_left = gather(x_left, right) ^ x_right
-        x = np.concatenate([x_left, np.broadcast_to(x_right, x_left.shape)])
+    x = rec(v[..., None], rows, 0)[0]
     # A code without an information leaf keeps one path, and its path 0 has the best metric.
     u = _butterfly(x)
     ok = (crc_check(u[spec.info_positions].transpose(1, 2, 0), crc) if crc is not None

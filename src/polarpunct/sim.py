@@ -318,13 +318,14 @@ def run_sweep(cfg: SimConfig, workers: int = 1) -> SimResult:
     """Run every sweep point on components built once; points are independent.
 
     ``workers`` processes run the points, but never more than there are
-    points; ``workers=1`` runs them in this process.
+    points or CPUs (``os.cpu_count()``, taken as 1 when unknown); one
+    worker runs them in this process.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     components = build_components(cfg)
     run = partial(run_point, cfg, _components=components)
-    workers = min(workers, len(cfg.sweep))
+    workers = min(workers, len(cfg.sweep), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             points = tuple(pool.map(run, cfg.sweep))

@@ -78,6 +78,10 @@ class TestPunctureTx:
         with pytest.raises(ValueError):
             puncture_tx(np.zeros(16), qup_pattern(3, 2))
 
+    def test_scalar_input_names_the_shape(self):
+        with pytest.raises(ValueError, match=r"codeword length undefined != N = 8 \(shape \(\)\)"):
+            puncture_tx(np.float64(1.0), qup_pattern(3, 2))
+
 
 def _shapes():
     """0-d, 1-D, (rows, N - Q)-like 2-D with an empty batch and totals on
@@ -195,3 +199,8 @@ class TestDepunctureRx:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             depuncture_rx(np.zeros(5), _wqp_toy())
+
+    def test_scalar_input_names_the_shape(self):
+        with pytest.raises(ValueError,
+                           match=r"received length undefined != N - Q = 4 \(shape \(\)\)"):
+            depuncture_rx(0.5, _wqp_toy())

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import tracemalloc
 import weakref
 from functools import reduce
 from pathlib import Path
@@ -20,6 +21,7 @@ from polarpunct.codec import (
     _boxplus,
     _g,
     _softplus,
+    _step,
     crc_append,
     crc_check,
     crc_for_width,
@@ -290,15 +292,27 @@ def _kernel_operands(draw):
 
 class TestNodeKernels:
     @settings(derandomize=True, max_examples=40, deadline=None, database=None)
-    @given(_kernel_operands())
-    def test_blocked_kernels_equal_the_unblocked_formula(self, ops):
+    @given(_kernel_operands(), st.sampled_from([_BLOCK, 1000, 37]), st.booleans())
+    def test_blocked_kernels_equal_the_unblocked_formula(self, ops, block, root):
+        # The halves of a node below the root, or the root's halves gathered
+        # from coded order: tree row i at an even coded row, rows[i], and its
+        # partner at rows[i] + 1, as the bit reversal places them; the coded
+        # array is F-ordered, so each gather reads a strided source.
         a, b, c = ops
-        box = _boxplus(a, b)
+        if root:
+            rows = 2 * np.random.default_rng(len(a)).permutation(len(a))
+            node = np.empty((2 * len(a),) + a.shape[1:], order="F")
+            node[rows], node[rows + 1] = a, b
+        else:
+            rows, node = None, np.concatenate([a, b])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codec, "_BLOCK", block)
+            box = _step(_boxplus, node, rows)
+            g = _step(_g, node, rows, c)
         assert box.shape == a.shape
         assert np.array_equal(_bits(box), _bits(_boxplus_formula(a, b)))
         # A zero input stays exactly zero through the check node.
         assert not box[(a == 0) | (b == 0)].any()
-        g = _g(a, b, c)
         want = _g_formula(a, b, c)
         assert g.shape == want.shape
         assert np.array_equal(_bits(g), _bits(want))
@@ -610,6 +624,17 @@ class TestSclProperties:
                               scl_eager_reference(llr, spec, L, crc=crc))
 
 
+def _peak(decode, llr, spec):
+    """tracemalloc peak of ``decode(llr, spec)``, after a first call fills the caches."""
+    decode(llr, spec)
+    tracemalloc.start()
+    try:
+        decode(llr, spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("decode", [sc_decode, lambda llr, spec: scl_decode(llr, spec, 1),
                                     lambda llr, spec: scl_decode(llr, spec, 4)],
                          ids=["sc", "scl", "scl4"])
@@ -645,6 +670,20 @@ class TestDecoderFrontEnd:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_frame_major_input_costs_no_more_memory(self, decode):
+        # A C-contiguous (B, N) batch, as transmit hands it on unpunctured,
+        # reaches the root as a strided (N, B) view. Each root block gathers
+        # its own rows of it, with no copy of the whole view per block: the
+        # peak is that of the same LLRs in position-major order. At N = 256
+        # the root's halves hold 128 * 1024 elements, eight blocks.
+        assert 128 * 1024 > 2 * _BLOCK
+        spec = select_information_set(ga_reliability(8, 1.0), 93)
+        llr = np.random.default_rng(29).normal(1.0, 2.0, (1024, 256))
+        position_major = np.ascontiguousarray(llr.T).T
+        frame_major_peak, position_major_peak = (_peak(decode, x, spec)
+                                                 for x in (llr, position_major))
+        assert frame_major_peak <= position_major_peak + 16 * 1024
 
     @settings(derandomize=True, max_examples=40, deadline=None, database=None)
     @given(case=st.one_of(_code_and_llrs(), _code_and_llrs(crc_bits=CRC8_0X9B.width)),

@@ -325,10 +325,11 @@ class TestRunSweep:
         cfg = tiny_cfg(max_frames=200)
         assert run_sweep(cfg, workers=2) == run_sweep(cfg, workers=1)
 
-    @pytest.mark.parametrize("workers, started", [(2, 2), (5000, 2), (1, None)])
-    def test_no_more_workers_than_points(self, monkeypatch, workers, started):
-        # The stand-in pool records its size and runs the points in this
-        # process, so no worker process is started at all.
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The ``max_workers`` of every pool ``run_sweep`` opens. The stand-in
+        pool runs the points in this process, so no worker process is
+        started at all."""
         sizes = []
 
         class RecordingPool:
@@ -344,9 +345,23 @@ class TestRunSweep:
             map = staticmethod(map)
 
         monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    @pytest.mark.parametrize("workers, started", [(2, 2), (5000, 2), (1, None)])
+    def test_no_more_workers_than_points(self, monkeypatch, pool_sizes, workers, started):
+        # More CPUs than points, whatever the host has, so the points bound.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         cfg = tiny_cfg(max_frames=100)
         assert run_sweep(cfg, workers=workers) == run_sweep(cfg)
-        assert sizes == ([] if started is None else [started])
+        assert pool_sizes == ([] if started is None else [started])
+
+    @pytest.mark.parametrize("cpus, started", [(3, 3), (1, None), (None, None)])
+    def test_no_more_workers_than_cpus(self, monkeypatch, pool_sizes, cpus, started):
+        # An unknown CPU count (None) counts as one CPU: the points run here.
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = tiny_cfg(sweep=(0.1, 0.2, 0.3, 0.4, 0.5), max_frames=20)
+        assert run_sweep(cfg, workers=1000) == run_sweep(cfg)
+        assert pool_sizes == ([] if started is None else [started])
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, monkeypatch, workers):
