@@ -19,8 +19,9 @@ information (zero LLR at the decoder).
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,26 +32,28 @@ from .bitops import bit_reverse, check_index
 class PropagationMap:
     """Source-to-destination bijection produced by the degradation process.
 
+    ``sources`` lists the sources in ascending order and ``targets`` their
+    destinations, aligned pairwise. The levels in between are not stored:
     ``levels[k][j]`` is the position of the j-th source after ``k`` levels,
-    so ``levels[0]`` lists the sources in ascending order and
-    ``levels[n]`` the destinations, aligned pairwise.
+    computed by walking the levels again the first time it is read.
     """
 
     n: int
-    levels: tuple[tuple[int, ...], ...]
+    sources: tuple[int, ...]
+    targets: tuple[int, ...]
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Each source with its destination, by ascending source."""
-        return tuple(zip(self.levels[0], self.levels[-1]))
-
-    @property
-    def sources(self) -> tuple[int, ...]:
-        return self.levels[0]
+        return tuple(zip(self.sources, self.targets))
 
     @property
     def destinations(self) -> frozenset[int]:
-        return frozenset(self.levels[-1])
+        return frozenset(self.targets)
+
+    @cached_property
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(position.tolist()) for position in _walk(self.sources, self.n))
 
     def to_json_dict(self) -> dict:
         return {
@@ -60,27 +63,35 @@ class PropagationMap:
         }
 
 
-def propagate(indices: Iterable[int], n: int) -> PropagationMap:
-    """Run the degradation process on a level-0 index set of width ``n``.
+def _walk(sources: tuple[int, ...], n: int) -> Iterator[np.ndarray]:
+    """Positions of the ascending ``sources`` before the first level and after each.
 
     Each level is one array step: a position keeps its place when its pair
     partner is occupied and clears bit ``k`` otherwise. Occupancy is found
     by binary search in the sorted positions, so no buffer of ``2**n``
     entries is needed at any admitted width.
     """
-    sources = sorted({operator.index(i) for i in indices})
-    check_index(sources, n)
-
     position = np.array(sources, dtype=np.int64)
-    levels = [tuple(sources)]
+    yield position
     for k in range(1, n + 1):
         bit = 1 << (n - k)
         occupied = np.sort(position)
         partner = position ^ bit
         paired = occupied.take(np.searchsorted(occupied, partner), mode="clip") == partner
         position = np.where(paired, position, position & ~bit)
-        levels.append(tuple(position.tolist()))
-    return PropagationMap(n=n, levels=tuple(levels))
+        yield position
+
+
+def propagate(indices: Iterable[int], n: int) -> PropagationMap:
+    """Run the degradation process on a level-0 index set of width ``n``.
+
+    Only the sources and their destinations are kept; see :func:`_walk`.
+    """
+    sources = tuple(sorted({operator.index(i) for i in indices}))
+    check_index(sources, n)
+    for position in _walk(sources, n):
+        pass
+    return PropagationMap(n=n, sources=sources, targets=tuple(position.tolist()))
 
 
 def punctured_bit_channels(coded_positions: Iterable[int], n: int) -> frozenset[int]:

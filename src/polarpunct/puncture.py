@@ -19,6 +19,7 @@ probability of the destination channel its source propagates to.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -131,8 +132,16 @@ def _pattern_from_source(source: Iterable[int], n: int, scheme: str) -> Puncture
                            destination_set=dest, pairs=prop.pairs)
 
 
+def _puncture_count(q) -> int:
+    try:
+        return operator.index(q)
+    except TypeError:
+        raise ValueError(f"puncture count q must be an integer, got {q!r}") from None
+
+
 def qup_pattern(n: int, q: int) -> PuncturePattern:
     """Quasi-uniform pattern: source {0, ..., q-1}, coded symbols bit-reversed."""
+    q = _puncture_count(q)
     N = 1 << n
     if not 0 < q < N:
         raise ValueError(f"puncture count must be in (0, {N}), got {q}")
@@ -152,6 +161,7 @@ def wqp_pattern(spec: PolarCodeSpec, profile: ReliabilityProfile, q: int) -> Pun
     """
     if spec.n != profile.n:
         raise ValueError("spec and profile widths differ")
+    q = _puncture_count(q)
     if q <= 0:
         raise ValueError(f"puncture count must be positive, got {q}")
     if q > len(spec.frozen_set):

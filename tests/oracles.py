@@ -45,6 +45,24 @@ def generator_matrix(n: int) -> np.ndarray:
     return (B @ Fn) % 2
 
 
+def propagate_reference(indices, n: int) -> list[dict[int, int]]:
+    """Independent one-index-at-a-time recursion of the degradation process.
+
+    Tracks each source separately but decides each level from the joint
+    occupancy, which is the defining property of the process. Returns the
+    position of every source after each of the ``n`` levels: ``n + 1``
+    dicts, the first mapping each source to itself and the last to its
+    destination.
+    """
+    levels = [{s: s for s in indices}]
+    for k in range(1, n + 1):
+        bit = 1 << (n - k)
+        pos = levels[-1]
+        occupied = set(pos.values())
+        levels.append({s: (p if (p ^ bit) in occupied else p & ~bit) for s, p in pos.items()})
+    return levels
+
+
 def zero_capacity_channels(coded_set, n: int) -> set[int]:
     """Bit channels left with zero information when ``coded_set`` is not sent.
 

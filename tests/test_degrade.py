@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import butterfly_zero_set, zero_capacity_channels
+from oracles import butterfly_zero_set, propagate_reference, zero_capacity_channels
 
 from polarpunct.bitops import bit_reverse, covers
 from polarpunct.construct import (
@@ -15,23 +15,6 @@ from polarpunct.construct import (
     select_information_set,
 )
 from polarpunct.degrade import PropagationMap, propagate, punctured_bit_channels
-
-
-def propagate_reference(indices, n):
-    """Independent one-index-at-a-time recursion used as an oracle.
-
-    Tracks each source separately but decides each level from the joint
-    occupancy, which is the defining property of the process.
-    """
-    pos = {s: s for s in indices}
-    for k in range(1, n + 1):
-        bit = 1 << (n - k)
-        occupied = set(pos.values())
-        pos = {
-            s: (p if (p ^ bit) in occupied else p & ~bit)
-            for s, p in pos.items()
-        }
-    return pos
 
 
 class TestPropagate:
@@ -67,7 +50,7 @@ class TestPropagate:
         for bits in range(1 << 8):
             s = {i for i in range(8) if (bits >> i) & 1}
             got = dict(propagate(s, 3).pairs)
-            assert got == propagate_reference(s, 3)
+            assert got == propagate_reference(s, 3)[-1]
 
     def test_matches_reference_random(self):
         rng = np.random.default_rng(7)
@@ -75,7 +58,7 @@ class TestPropagate:
             n = int(rng.integers(1, 9))
             size = int(rng.integers(1, 1 << n))
             s = set(rng.choice(1 << n, size=size, replace=False).tolist())
-            assert dict(propagate(s, n).pairs) == propagate_reference(s, n)
+            assert dict(propagate(s, n).pairs) == propagate_reference(s, n)[-1]
 
     def test_bijection_cardinality_covering(self):
         rng = np.random.default_rng(11)
@@ -88,13 +71,25 @@ class TestPropagate:
             assert len(set(dests)) == len(s)
             assert all(covers(src, dst, n) for src, dst in pmap.pairs)
 
-    def test_map_stores_only_its_levels(self):
-        # sources, destinations and pairs are read off the first and last level
-        assert [f.name for f in dataclasses.fields(PropagationMap)] == ["n", "levels"]
+    def test_map_stores_only_its_two_ends(self):
+        # the sources and their destinations; the levels between are derived
+        assert [f.name for f in dataclasses.fields(PropagationMap)] == ["n", "sources", "targets"]
         pmap = propagate({2, 3, 4, 7}, 3)
-        assert pmap.sources == (2, 3, 4, 7)
-        same = PropagationMap(n=3, levels=pmap.levels)
+        assert (pmap.n, pmap.sources, pmap.targets) == (3, (2, 3, 4, 7), (2, 1, 0, 4))
+        same = PropagationMap(n=3, sources=(2, 3, 4, 7), targets=(2, 1, 0, 4))
         assert same == pmap and hash(same) == hash(pmap)
+        assert same.levels == ((2, 3, 4, 7), (2, 3, 0, 7), (2, 1, 0, 5), (2, 1, 0, 4))
+        assert pmap != PropagationMap(n=4, sources=pmap.sources, targets=pmap.targets)
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.integers(0, 10).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1)))))
+    def test_levels_match_reference(self, case):
+        n, s = case
+        pmap = propagate(s, n)
+        expected = tuple(tuple(level[i] for i in sorted(s)) for level in propagate_reference(s, n))
+        assert pmap.levels == expected
+        assert pmap.levels[0] == pmap.sources and pmap.levels[-1] == pmap.targets
 
     def test_iteration_order_irrelevant(self):
         a = propagate([7, 2, 4, 3], 3)

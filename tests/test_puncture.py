@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,27 @@ class TestQupPattern:
         with pytest.raises(ValueError):
             qup_pattern(3, 8)
 
+    @pytest.mark.parametrize("q", [3.0, "3"])
+    def test_non_integer_q_rejected(self, q):
+        with pytest.raises(ValueError, match="puncture count q must be an integer"):
+            qup_pattern(3, q)
+
+    def test_numpy_integer_q(self):
+        assert qup_pattern(3, np.int64(3)) == qup_pattern(3, 3)
+
+    def test_large_pattern_in_bounded_memory(self):
+        # A map that held all n + 1 levels peaked at 869 B per punctured position
+        # here; one that keeps its two ends peaks at about 190 B.
+        qup_pattern(4, 3)
+        tracemalloc.start()
+        try:
+            pattern = qup_pattern(18, 60_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pattern.destination_set == tuple(range(60_000))
+        assert peak < 400 * 60_000
+
     def test_kept_positions(self):
         p = qup_pattern(5, 11)
         kept = p.kept_positions
@@ -98,6 +120,18 @@ class TestWqpPattern:
         spec = select_information_set(prof, 4)
         with pytest.raises(UnsupportedConfiguration):
             wqp_pattern(spec, prof, 5)
+
+    @pytest.mark.parametrize("q", [2.0, "2"])
+    def test_non_integer_q_rejected(self, q):
+        prof = bec_bhattacharyya(3, 0.5)
+        spec = select_information_set(prof, 4)
+        with pytest.raises(ValueError, match="puncture count q must be an integer"):
+            wqp_pattern(spec, prof, q)
+
+    def test_numpy_integer_q(self):
+        prof = bec_bhattacharyya(3, 0.5)
+        spec = select_information_set(prof, 4)
+        assert wqp_pattern(spec, prof, np.int64(2)) == wqp_pattern(spec, prof, 2)
 
     def test_closure_random(self):
         rng = np.random.default_rng(5)

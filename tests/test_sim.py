@@ -258,26 +258,28 @@ class TestExactScOnBec:
     """On the BEC every channel LLR is 0 or +/-40, so SC decides a bit channel
     either exactly right or on an exactly zero LLR, as 0. With a correct past
     the zero-LLR channels are those the boolean butterfly of the zero
-    positions marks. So SC returns ``u`` exactly when no such information
-    channel carries a 1: a per-frame rule with no tolerance."""
+    positions marks. So SC returns ``u`` exactly when no such information or
+    CRC channel carries a 1: a per-frame rule with no tolerance."""
 
     @staticmethod
     def check_batch(cfg: SimConfig) -> int:
         """Replay ``run_point``'s first batch, check the rule frame by frame and
-        return the number of frames SC got wrong."""
-        _, spec, pattern, _ = build_components(cfg)
+        return the number of frames whose information bits SC got wrong."""
+        _, spec, pattern, crc_poly = build_components(cfg)
         rng = np.random.default_rng([cfg.master_seed, 0, 0])
         info = rng.integers(0, 2, size=(cfg.batch_size, cfg.k), dtype=np.uint8)
-        u = codec.place_payload(info, spec)
+        payload = info if crc_poly is None else codec.crc_append(info, crc_poly)
+        u = codec.place_payload(payload, spec)
         rx = channel.transmit(channel.puncture_tx(codec.encode(u), pattern),
                               cfg.channel_config(cfg.sweep[0]), rng)
         soft = channel.depuncture_rx(rx, pattern)
-        wrong = (codec.sc_decode(soft, spec) != u).any(axis=1)
+        u_hat = codec.sc_decode(soft, spec)
+        wrong = (u_hat != u).any(axis=1)
         info_set = set(spec.info_set)
         for f in range(cfg.batch_size):
             erased = butterfly_zero_set(np.flatnonzero(soft[f] == 0).tolist(), cfg.n) & info_set
             assert wrong[f] == u[f, sorted(erased)].any()
-        return int(wrong.sum())
+        return int((codec.extract_payload(u_hat, spec)[:, : cfg.k] != info).any(axis=1).sum())
 
     @pytest.mark.parametrize("scheme", ["qup", "wqp"])
     def test_paper_point(self, scheme):
@@ -302,6 +304,17 @@ class TestExactScOnBec:
                             puncturing=scheme, q=q, custom_coded=coded, sweep=(eps,),
                             max_frames=200, batch_size=200, master_seed=trial)
             assert self.check_batch(cfg) == run_point(cfg, eps).frame_errors
+
+    @pytest.mark.parametrize("scheme", ["qup", "wqp"])
+    def test_paper_point_with_crc(self, scheme):
+        # The CRC bits fill the last information channels, so SC decides them
+        # after every information bit and the rule covers them too.
+        cfg = SimConfig(n=8, k=93, crc_bits=8, construction="bec:0.15", channel="bec",
+                        puncturing=scheme, q=70, sweep=(0.15,), max_frames=500,
+                        batch_size=500, master_seed=3)
+        errors = self.check_batch(cfg)
+        assert errors == run_point(cfg, 0.15).frame_errors
+        assert errors > 0
 
 
 class TestRunSweep:
