@@ -37,11 +37,15 @@ def _read_json(path: str):
 
 
 def _write_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    """Stream ``payload`` as indented JSON to ``out``, or to stdout without one."""
+    def write(fh):
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
     if out:
-        sim.write_atomic(out, lambda fh: fh.write(text + "\n"))
+        sim.write_atomic(out, write)
     else:
-        print(text)
+        write(sys.stdout)
 
 
 def _cmd_construct(args) -> int:

@@ -47,9 +47,10 @@ class PropagationMap:
         """Each source with its destination, by ascending source."""
         return tuple(zip(self.sources, self.targets))
 
-    @property
-    def destinations(self) -> frozenset[int]:
-        return frozenset(self.targets)
+    @cached_property
+    def destination_set(self) -> tuple[int, ...]:
+        """The destinations in ascending order."""
+        return tuple(sorted(self.targets))
 
     @cached_property
     def levels(self) -> tuple[tuple[int, ...], ...]:
@@ -100,4 +101,4 @@ def punctured_bit_channels(coded_positions: Iterable[int], n: int) -> frozenset[
     Convenience wrapper: bit-reverses the coded positions into the source
     domain, then propagates.
     """
-    return propagate(bit_reverse(list(coded_positions), n), n).destinations
+    return frozenset(propagate(bit_reverse(list(coded_positions), n), n).targets)

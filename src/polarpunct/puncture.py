@@ -28,7 +28,7 @@ import numpy as np
 
 from .bitops import bit_reverse
 from .construct import PolarCodeSpec, ReliabilityProfile
-from .degrade import propagate
+from .degrade import PropagationMap, propagate
 
 QUP = "qup"
 WQP = "wqp"
@@ -41,27 +41,20 @@ class UnsupportedConfiguration(ValueError):
 
 
 @dataclass(frozen=True)
-class PuncturePattern:
-    """A puncture choice in both index domains.
+class PuncturePattern(PropagationMap):
+    """A puncture choice: the propagation map of its source set plus a scheme name.
 
-    ``source_set`` lives in the bit-channel index domain, ``coded_set`` is
-    its bit-reversed image (the coded-symbol positions not transmitted) and
-    ``destination_set`` the propagated set of punctured bit channels.
-    ``pairs`` aligns each source with its destination.
-    ``kept_positions`` lists the transmitted coded positions in ascending
-    order; it is derived from ``coded_set`` and takes no part in equality.
+    ``coded_set`` is the bit-reversed image of ``sources`` (the coded-symbol
+    positions not transmitted) and ``kept_positions`` the transmitted coded
+    positions in ascending order. Both are derived when first read and,
+    like ``destination_set``, take no part in repr, equality or hashing.
     """
 
     scheme: str
-    n: int
-    source_set: tuple[int, ...]
-    coded_set: tuple[int, ...]
-    destination_set: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]
 
     @property
     def q(self) -> int:
-        return len(self.source_set)
+        return len(self.sources)
 
     @property
     def size(self) -> int:
@@ -72,9 +65,13 @@ class PuncturePattern:
         return self.size - self.q
 
     @cached_property
+    def coded_set(self) -> tuple[int, ...]:
+        return tuple(np.sort(bit_reverse(self.sources, self.n)).tolist())
+
+    @cached_property
     def kept_positions(self) -> np.ndarray:
         keep = np.ones(self.size, dtype=bool)
-        keep[list(self.coded_set)] = False
+        keep[bit_reverse(self.sources, self.n)] = False
         kept = np.flatnonzero(keep)
         kept.setflags(write=False)
         return kept
@@ -84,7 +81,7 @@ class PuncturePattern:
             "scheme": self.scheme,
             "n": self.n,
             "q": self.q,
-            "source_set": list(self.source_set),
+            "source_set": list(self.sources),
             "coded_set": list(self.coded_set),
             "destination_set": list(self.destination_set),
             "pairs": [{"source": s, "destination": d} for s, d in self.pairs],
@@ -104,6 +101,7 @@ class PatternReport:
     n: int
     info_set: tuple[int, ...]
     profile_method: str
+    profile_params: tuple[tuple[str, float], ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -126,10 +124,7 @@ class PatternComparison:
 
 def _pattern_from_source(source: Iterable[int], n: int, scheme: str) -> PuncturePattern:
     prop = propagate(source, n)
-    coded = tuple(np.sort(bit_reverse(prop.sources, n)).tolist())
-    dest = tuple(sorted(prop.destinations))
-    return PuncturePattern(scheme=scheme, n=n, source_set=prop.sources, coded_set=coded,
-                           destination_set=dest, pairs=prop.pairs)
+    return PuncturePattern(n=n, sources=prop.sources, targets=prop.targets, scheme=scheme)
 
 
 def _puncture_count(q) -> int:
@@ -229,12 +224,13 @@ def analyze_pattern(pattern: PuncturePattern, spec: PolarCodeSpec,
             "quality-loss reporting needs a probability-bearing construction")
     pb = profile.error_prob
     info = spec.info_positions
+    dest = np.array(pattern.targets, dtype=np.intp)
     blank = np.zeros(spec.size, dtype=bool)
-    blank[list(pattern.destination_set)] = True
+    blank[dest] = True
     blank_info = blank[info]
     hit = tuple(info[blank_info].tolist())
 
-    per_bit = tuple((0.5 - pb[[d for _, d in pattern.pairs]]).tolist())
+    per_bit = tuple((0.5 - pb[dest]).tolist())
     union = float(np.where(blank_info, 0.5, pb[info]).sum())
     return PatternReport(
         scheme=pattern.scheme, q=pattern.q,
@@ -243,12 +239,14 @@ def analyze_pattern(pattern: PuncturePattern, spec: PolarCodeSpec,
         quality_loss=float(sum(per_bit)),
         per_bit_loss=per_bit,
         n=spec.n, info_set=spec.info_set, profile_method=profile.method,
+        profile_params=tuple(sorted(profile.params.items())),
     )
 
 
 def compare_patterns(a: PatternReport, b: PatternReport) -> PatternComparison:
     """Deltas (first minus second); negative means the first pattern is better."""
-    if (a.n, a.info_set, a.profile_method) != (b.n, b.info_set, b.profile_method):
+    key = operator.attrgetter("n", "info_set", "profile_method", "profile_params")
+    if key(a) != key(b):
         raise ValueError("reports come from different specs or profiles")
     return PatternComparison(
         quality_loss_delta=a.quality_loss - b.quality_loss,

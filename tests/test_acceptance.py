@@ -98,7 +98,7 @@ def test_03_toy_patterns():
     assert spec.info_set == (3, 5, 6, 7)
 
     wqp = wqp_pattern(spec, profile, 4)
-    assert wqp.source_set == (0, 1, 2, 4)
+    assert wqp.sources == (0, 1, 2, 4)
     assert set(wqp.destination_set) == {0, 1, 2, 4}
     assert zero_capacity_channels(wqp.coded_set, 3) == {0, 1, 2, 4}
 
@@ -108,7 +108,7 @@ def test_03_toy_patterns():
     # fixed point. An earlier version of this check expected {0, 1, 2, 4}
     # here, which was an error.
     qup = qup_pattern(3, 4)
-    assert qup.source_set == (0, 1, 2, 3)
+    assert qup.sources == (0, 1, 2, 3)
     assert set(qup.destination_set) == {0, 1, 2, 3}
     assert zero_capacity_channels(qup.coded_set, 3) == {0, 1, 2, 3}
 
@@ -178,7 +178,7 @@ def test_05_closure_and_optimality():
                                            spec, profile).quality_loss
                     for subset in itertools.combinations(frozen, q):
                         rival = sum(0.5 - pb[d] for d
-                                    in propagate(subset, n).destinations)
+                                    in propagate(subset, n).destination_set)
                         assert best <= rival + 1e-12
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from polarpunct import channel, construct, puncture, sim
+from polarpunct import channel, construct, degrade, puncture, sim
 from polarpunct.cli import build_parser, main
 
 
@@ -415,6 +415,24 @@ class TestCompareCommand:
                        "--out", str(tmp_path / "joint")) == 1
         assert "out of range" in capsys.readouterr().err
         assert started == []
+
+
+class TestJsonOutput:
+    # JSON is streamed, never held whole as text; stdout and --out carry the
+    # same bytes, the indented text and one newline
+    @pytest.mark.parametrize("argv, payload", [
+        (("propagate", "--n", "3", "--set", "2,3,4,7"),
+         lambda: degrade.propagate([2, 3, 4, 7], 3).to_json_dict()),
+        (("puncture", "--n", "5", "--q", "11", "--scheme", "qup"),
+         lambda: {"patterns": [puncture.qup_pattern(5, 11).to_json_dict()]}),
+    ])
+    def test_stdout_and_file_bytes(self, tmp_path, capsys, argv, payload):
+        expected = json.dumps(payload(), indent=2) + "\n"
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == expected
+        out = tmp_path / "out.json"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert out.read_bytes() == expected.encode()
 
 
 class _FullDisk:

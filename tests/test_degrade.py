@@ -22,7 +22,7 @@ class TestPropagate:
         pmap = propagate({2, 3, 4, 7}, 3)
         assert pmap.levels == ((2, 3, 4, 7), (2, 3, 0, 7), (2, 1, 0, 5), (2, 1, 0, 4))
         assert pmap.pairs == ((2, 2), (3, 1), (4, 0), (7, 4))
-        assert pmap.destinations == {0, 1, 2, 4}
+        assert pmap.destination_set == (0, 1, 2, 4)
 
     def test_full_occupancy_is_identity(self):
         for n in (1, 2, 3, 4):
@@ -39,7 +39,7 @@ class TestPropagate:
     def test_empty_set(self):
         pmap = propagate(set(), 4)
         assert pmap.pairs == ()
-        assert pmap.destinations == frozenset()
+        assert pmap.destination_set == ()
 
     def test_non_integer_rejected(self):
         # a float would otherwise be truncated silently by the array step
@@ -109,10 +109,10 @@ class TestPropagatePuncture:
         # {0,..,3} at n=3 pairs only within itself, so it maps to itself;
         # its image cannot contain 4, which no source covers
         pmap = propagate({0, 1, 2, 3}, 3)
-        assert pmap.destinations == {0, 1, 2, 3}
+        assert pmap.destination_set == (0, 1, 2, 3)
 
     def test_pi_closed_source(self):
-        assert propagate({0, 1, 2, 4}, 3).destinations == {0, 1, 2, 4}
+        assert propagate({0, 1, 2, 4}, 3).destination_set == (0, 1, 2, 4)
 
     def test_empty(self):
         assert propagate(set(), 3).pairs == ()
@@ -122,7 +122,7 @@ class TestPuncturedBitChannels:
     def test_coded_domain_wrapper(self):
         # coded positions {0,4,2,6} bit-reverse to sources {0,1,2,3}
         assert punctured_bit_channels({0, 4, 2, 6}, 3) == \
-            propagate(bit_reverse([0, 4, 2, 6], 3), 3).destinations
+            set(propagate(bit_reverse([0, 4, 2, 6], 3), 3).destination_set)
 
     def test_empty(self):
         assert punctured_bit_channels(set(), 4) == frozenset()
@@ -181,5 +181,5 @@ class TestClosureUnderFrozenSets:
                 continue
             size = int(rng.integers(1, len(frozen) + 1))
             q0 = set(rng.choice(sorted(frozen), size=size, replace=False).tolist())
-            dest = propagate(q0, n).destinations
+            dest = set(propagate(q0, n).destination_set)
             assert dest <= frozen

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -15,6 +16,7 @@ from polarpunct.construct import (
 )
 from polarpunct.degrade import propagate
 from polarpunct.puncture import (
+    PuncturePattern,
     UnsupportedConfiguration,
     analyze_pattern,
     compare_patterns,
@@ -25,13 +27,13 @@ from polarpunct.puncture import (
 )
 from polarpunct.puncture import _pattern_from_source
 
-from oracles import butterfly_zero_set
+from oracles import bit_reverse_str, butterfly_zero_set, propagate_reference
 
 
 class TestQupPattern:
     def test_toy_n3(self):
         p = qup_pattern(3, 4)
-        assert p.source_set == (0, 1, 2, 3)
+        assert p.sources == (0, 1, 2, 3)
         assert p.coded_set == (0, 2, 4, 6)
         # {0,1,2,3} pairs only within itself level by level, so it is a
         # fixed point of the propagation; no source covers 4, so 4 can
@@ -40,7 +42,7 @@ class TestQupPattern:
 
     def test_single_puncture(self):
         p = qup_pattern(4, 1)
-        assert p.source_set == (0,)
+        assert p.sources == (0,)
         assert p.coded_set == (0,)
         assert p.destination_set == (0,)
 
@@ -65,16 +67,19 @@ class TestQupPattern:
 
     def test_large_pattern_in_bounded_memory(self):
         # A map that held all n + 1 levels peaked at 869 B per punctured position
-        # here; one that keeps its two ends peaks at about 190 B.
+        # here; one that keeps its two ends peaks at about 190 B. A pattern that
+        # stores only those two ends retains about 80 B, where one that also
+        # stored its coded and destination sets and pairs retained 184 B.
         qup_pattern(4, 3)
         tracemalloc.start()
         try:
             pattern = qup_pattern(18, 60_000)
-            peak = tracemalloc.get_traced_memory()[1]
+            retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert pattern.destination_set == tuple(range(60_000))
         assert peak < 400 * 60_000
+        assert retained < 120 * 60_000
 
     def test_kept_positions(self):
         p = qup_pattern(5, 11)
@@ -89,9 +94,49 @@ class TestQupPattern:
 
     def test_invariants(self):
         p = qup_pattern(5, 11)
-        assert len(p.source_set) == len(p.coded_set) == len(p.destination_set) == 11
+        assert len(p.sources) == len(p.coded_set) == len(p.destination_set) == 11
         assert p.transmitted == 32 - 11
-        assert set(p.destination_set) == propagate(p.source_set, 5).destinations
+        assert p.destination_set == propagate(p.sources, 5).destination_set
+
+
+class TestPatternRecord:
+    def test_stores_the_map_and_a_scheme(self):
+        assert [f.name for f in dataclasses.fields(PuncturePattern)] == \
+            ["n", "sources", "targets", "scheme"]
+        p, pmap = qup_pattern(5, 11), propagate(range(11), 5)
+        assert (p.n, p.sources, p.targets) == (pmap.n, pmap.sources, pmap.targets)
+        assert p != pmap and pmap != p
+
+    def test_derived_fields_take_no_part_in_identity(self):
+        p, fresh = custom_pattern([3, 17, 4, 30], 5), custom_pattern([3, 17, 4, 30], 5)
+        assert (p.coded_set, p.destination_set) == ((3, 4, 17, 30), (0, 1, 2, 4))
+        assert p.kept_positions.size == 28
+        assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+        assert not any(name in repr(p) for name in ("coded", "destination", "kept"))
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_json_fields_match_the_reference(self, data):
+        n = data.draw(st.integers(1, 8))
+        N = 1 << n
+        if data.draw(st.booleans()):
+            q = data.draw(st.integers(1, N - 1))
+            p, scheme, sources = qup_pattern(n, q), "qup", range(q)
+        else:
+            coded = data.draw(st.sets(st.integers(0, N - 1), max_size=N - 1))
+            p, scheme = custom_pattern(coded, n), "custom"
+            sources = [bit_reverse_str(c, n) for c in coded]
+        dest = propagate_reference(sources, n)[-1]
+        expected = {
+            "scheme": scheme,
+            "n": n,
+            "q": len(dest),
+            "source_set": sorted(dest),
+            "coded_set": sorted(bit_reverse_str(s, n) for s in dest),
+            "destination_set": sorted(dest.values()),
+            "pairs": [{"source": s, "destination": dest[s]} for s in sorted(dest)],
+        }
+        assert list(p.to_json_dict().items()) == list(expected.items())
 
 
 class TestWqpPattern:
@@ -99,7 +144,7 @@ class TestWqpPattern:
         prof = bec_bhattacharyya(3, 0.5)
         spec = select_information_set(prof, 4)
         p = wqp_pattern(spec, prof, 4)
-        assert p.source_set == (0, 1, 2, 4)
+        assert p.sources == (0, 1, 2, 4)
         assert p.coded_set == (0, 1, 2, 4)
         assert p.destination_set == (0, 1, 2, 4)
 
@@ -107,7 +152,7 @@ class TestWqpPattern:
         prof = bec_bhattacharyya(4, 0.4)
         spec = select_information_set(prof, 10)
         p = wqp_pattern(spec, prof, 6)
-        assert set(p.source_set) == set(spec.frozen_set)
+        assert set(p.sources) == set(spec.frozen_set)
 
     def test_no_information_channel_hit(self):
         prof = ga_reliability(8, -0.5)
@@ -171,13 +216,13 @@ class TestWqpPattern:
         prof = pw_reliability(3)
         spec = select_information_set(prof, 4)
         p = wqp_pattern(spec, prof, 2)
-        assert p.source_set == (0, 1)  # weights 0 and 1 are the smallest
+        assert p.sources == (0, 1)  # weights 0 and 1 are the smallest
 
 
 class TestCustomPattern:
     def test_coded_domain(self):
         p = custom_pattern([0, 4, 2, 6], 3)
-        assert p.source_set == (0, 1, 2, 3)
+        assert p.sources == (0, 1, 2, 3)
         assert p.scheme == "custom"
 
     def test_empty_allowed(self):
@@ -294,6 +339,18 @@ class TestComparePatterns:
         assert delta.quality_loss_delta == 0.0
         assert delta.union_bound_delta == 0.0
 
+    def test_profiles_with_different_params_rejected(self):
+        # ga at 0 and at 0.05 dB select the same information set here, but
+        # the losses of one pattern differ between them
+        prof_a, prof_b = ga_reliability(8, 0.0), ga_reliability(8, 0.05)
+        spec_a, spec_b = (select_information_set(prof, 93) for prof in (prof_a, prof_b))
+        assert spec_a.info_set == spec_b.info_set
+        a = analyze_pattern(qup_pattern(8, 70), spec_a, prof_a)
+        b = analyze_pattern(qup_pattern(8, 70), spec_b, prof_b)
+        assert a.quality_loss != b.quality_loss
+        with pytest.raises(ValueError, match="different specs or profiles"):
+            compare_patterns(a, b)
+
     def test_mismatched_specs_rejected(self):
         other_spec = select_information_set(self.prof, 5)
         a = analyze_pattern(qup_pattern(3, 2), self.spec, self.prof)
@@ -362,7 +419,7 @@ class TestDestinationDecomposition:
             p = qup_pattern(n, q) if rng.integers(2) else _pattern_from_source(
                 rng.choice(1 << n, size=q, replace=False).tolist(), n, "custom")
             assert set(p.destination_set) == {d for _, d in p.pairs}
-            assert set(p.destination_set) == propagate(p.source_set, n).destinations
+            assert p.destination_set == propagate(p.sources, n).destination_set
 
     def test_destinations_match_butterfly_oracle(self):
         # design sizes, as the benchmark's design workload uses them
