@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 
@@ -36,10 +37,18 @@ def _read_json(path: str):
         return json.load(fh)
 
 
+# The JSON encoder's chunks are a token or two each; this many go into one write.
+_CHUNKS_PER_WRITE = 2**12
+
+
 def _write_json(payload: dict, out: str | None) -> None:
-    """Stream ``payload`` as indented JSON to ``out``, or to stdout without one."""
+    """Stream ``payload`` as indented JSON and a newline to ``out``, or to stdout
+    without one, in writes of ``_CHUNKS_PER_WRITE`` encoder chunks: an
+    unbuffered stdout (``python -u``) then takes a few writes, not one per token."""
     def write(fh):
-        json.dump(payload, fh, indent=2)
+        chunks = json.JSONEncoder(indent=2).iterencode(payload)
+        for chunk in chunks:
+            fh.write(chunk + "".join(itertools.islice(chunks, _CHUNKS_PER_WRITE - 1)))
         fh.write("\n")
 
     if out:
@@ -140,9 +149,9 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _add_construction_flags(p, require_k: bool) -> None:
-    p.add_argument("--construction", help="bec:EPS | ga:ESN0_DB | pw[:BETA]")
-    p.add_argument("--k", type=int, required=require_k, help="information bits")
+def _add_construction_flags(p, required: bool) -> None:
+    p.add_argument("--construction", required=required, help="bec:EPS | ga:ESN0_DB | pw[:BETA]")
+    p.add_argument("--k", type=int, required=required, help="information bits")
     p.add_argument("--crc", type=int, default=0, choices=cons.CRC_WIDTHS)
 
 
@@ -154,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="emit reliability profile and code spec")
     p.add_argument("--n", type=int, required=True)
-    _add_construction_flags(p, require_k=True)
+    _add_construction_flags(p, required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_construct)
 
@@ -164,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", default=puncture.QUP, choices=puncture.SCHEMES)
     p.add_argument("--custom-file", help="JSON list of coded-symbol positions")
     p.add_argument("--compare", help="comma pair of schemes, e.g. qup,wqp")
-    _add_construction_flags(p, require_k=False)
+    _add_construction_flags(p, required=False)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_puncture)
 

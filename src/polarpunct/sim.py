@@ -27,7 +27,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -154,14 +154,17 @@ class SimConfig:
     @classmethod
     def from_json_dict(cls, d: dict, **overrides) -> "SimConfig":
         """Config from its JSON fields, ``overrides`` replacing some. A ``d`` that is
-        no JSON object, an unknown field, or a value that does not fit its
-        field's type raises ``ValueError`` naming the field."""
+        no JSON object, an unknown or missing required field, or a value that
+        does not fit its field's type raises ``ValueError`` naming the field."""
         if type(d) is not dict:
             raise ValueError(f"a config must be a JSON object, got {d!r}")
         d = {**d, **overrides}
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+        if missing:
+            raise ValueError(f"missing required config fields: {missing}")
         for f in fields(cls):
             if f.name in d:
                 what, types, items = _JSON_TYPES[f.type]
@@ -221,12 +224,13 @@ class SimResult:
 
 
 def build_components(cfg: SimConfig):
-    """Profile, code spec, pattern and CRC polynomial for a validated config."""
+    """Profile, code spec, pattern (empty without puncturing) and CRC polynomial of a config."""
     cfg.validate()
     profile = construct.build_profile(cfg.construction, cfg.n, cfg.design_snr_db())
     spec = construct.select_information_set(profile, cfg.k + cfg.crc_bits, crc_bits=cfg.crc_bits)
-    pattern = None if cfg.puncturing == "none" else puncture.make_pattern(
-        cfg.puncturing, cfg.n, cfg.q, spec, profile, cfg.custom_coded)
+    pattern = (puncture.custom_pattern((), cfg.n) if cfg.puncturing == "none" else
+               puncture.make_pattern(cfg.puncturing, cfg.n, cfg.q, spec, profile,
+                                     cfg.custom_coded))
     crc_poly = codec.crc_for_width(cfg.crc_bits) if cfg.crc_bits else None
     return profile, spec, pattern, crc_poly
 
@@ -238,13 +242,9 @@ def _channel_llrs(payload, spec, pattern, channel_cfg: chan.ChannelConfig, rng) 
     is freed once the next stage's output is bound, and the returned
     depunctured LLRs are the only full-batch array of the chain left.
     """
-    batch = codec.encode(codec.place_payload(payload, spec))
-    if pattern is not None:
-        batch = chan.puncture_tx(batch, pattern)
+    batch = chan.puncture_tx(codec.encode(codec.place_payload(payload, spec)), pattern)
     batch = chan.transmit(batch, channel_cfg, rng)
-    if pattern is not None:
-        batch = chan.depuncture_rx(batch, pattern)
-    return batch
+    return chan.depuncture_rx(batch, pattern)
 
 
 def _run_batch(components, cfg: SimConfig, channel_cfg: chan.ChannelConfig,
@@ -331,9 +331,8 @@ def run_sweep(cfg: SimConfig, workers: int = 1) -> SimResult:
             points = tuple(pool.map(run, cfg.sweep))
     else:
         points = tuple(map(run, cfg.sweep))
-    pattern = components[2]
-    return SimResult(config=cfg, points=points,
-                     pattern=None if pattern is None else pattern.to_json_dict())
+    return SimResult(config=cfg, points=points, pattern=None if cfg.puncturing == "none"
+                     else components[2].to_json_dict())
 
 
 CSV_COLUMNS = ("sweep_param", "frames", "frame_errors", "FER", "bit_errors", "BER")

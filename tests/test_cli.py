@@ -86,6 +86,14 @@ class TestConstructCommand:
         assert run_cli("construct", "--n", n, "--k", "2", "--construction", "pw") == 1
         assert capsys.readouterr().err.startswith(f"error: n must be in [0, 20], got {n}")
 
+    def test_construction_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("construct", "--n", "8", "--k", "93")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "the following arguments are required: --construction" in err
+        assert "Traceback" not in err
+
 
 class TestPunctureCommand:
     def test_qup_pattern_json(self, capsys):
@@ -254,6 +262,11 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--config", str(cfg_path)) == 1
         assert "coffee" in capsys.readouterr().err
 
+    def test_missing_required_fields_named(self, capsys):
+        assert run_cli("simulate", "--sweep", "1") == 1
+        err = capsys.readouterr().err
+        assert err == "error: missing required config fields: ['n', 'k']\n"
+
     @pytest.mark.parametrize("field, value", [
         ("sweep", "abc"), ("n", "4"), ("max_frames", 10.5), ("master_seed", True),
         ("custom_coded", 5), ("custom_coded", [[1]]), ("decoder", 1),
@@ -377,6 +390,15 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "coffee" in err
 
+    def test_missing_required_field_named(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"n": 4, "k": 6, "sweep": [2.0], "max_frames": 50}))
+        b.write_text(json.dumps({"n": 4, "sweep": [2.0], "max_frames": 50}))
+        assert run_cli("compare", "--config-a", str(a), "--config-b", str(b),
+                       "--out", str(tmp_path / "joint")) == 1
+        assert capsys.readouterr().err == "error: missing required config fields: ['k']\n"
+        assert not (tmp_path / "joint.csv").exists()
+
     @pytest.mark.parametrize("side", [0, 1])
     @pytest.mark.parametrize("text", ["[1]", "5"])
     def test_config_not_an_object(self, tmp_path, capsys, side, text):
@@ -433,6 +455,21 @@ class TestJsonOutput:
         out = tmp_path / "out.json"
         assert run_cli(*argv, "--out", str(out)) == 0
         assert out.read_bytes() == expected.encode()
+
+    def test_stdout_takes_few_writes(self, tmp_path, monkeypatch):
+        """Stdout gets the encoder's chunks joined into a few writes, not one per
+        token as an unbuffered ``python -u`` stdout would make it, and the
+        bytes of the ``--out`` file."""
+        writes = []
+        monkeypatch.setattr(sys, "stdout", type("Stdout", (), {"write": writes.append})())
+        argv = ("puncture", "--n", "12", "--q", "3000", "--scheme", "qup")
+        assert run_cli(*argv) == 0
+        out = tmp_path / "out.json"
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert "".join(writes).encode() == out.read_bytes()
+        chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(json.loads(out.read_text())))
+        assert chunks > 20_000
+        assert len(writes) <= chunks // 2**12 + 2  # the last, partial write and the newline
 
 
 class _FullDisk:

@@ -403,6 +403,51 @@ class TestRunSweep:
         assert res.points[0].fer <= res.points[1].fer
 
 
+class TestUnpunctured:
+    """``puncturing="none"`` runs the chain of every other config with the
+    empty pattern (q = 0): its counts stay pinned, and its result JSON has
+    no pattern."""
+
+    @pytest.mark.parametrize("kw, counts", [
+        (dict(decoder="sc", construction="ga", sweep=(2.0,), max_frames=4000), (4000, 260, 5695)),
+        (dict(decoder="scl", list_size=4, crc_bits=8, construction="ga", sweep=(1.5,),
+              max_frames=2000), (2000, 151, 3513)),
+        (dict(decoder="sc", channel="bec", construction="bec:0.5", sweep=(0.5,),
+              max_frames=2000), (2000, 219, 4967)),
+        (dict(decoder="scl", list_size=4, crc_bits=8, channel="bec", construction="bec:0.5",
+              sweep=(0.5,), max_frames=2000), (2000, 51, 1244)),
+    ])
+    def test_pinned_counts(self, kw, counts):
+        cfg = SimConfig(n=8, k=93, master_seed=3, min_frame_errors=10**9, **kw)
+        res = run_point(cfg, cfg.sweep[0])
+        assert (res.frames, res.frame_errors, res.bit_errors) == counts
+
+    def test_empty_pattern(self):
+        pattern = build_components(tiny_cfg(puncturing="none", q=0))[2]
+        assert isinstance(pattern, puncture.PuncturePattern)
+        assert pattern.q == 0
+        assert pattern.kept_positions.tolist() == list(range(32))
+        assert run_sweep(tiny_cfg(puncturing="none", q=0, max_frames=20)).pattern is None
+
+    @pytest.mark.parametrize("decoder", sim.DECODERS)
+    @pytest.mark.parametrize("puncturing", sim.PUNCTURINGS)
+    def test_decoder_reads_position_major_llrs(self, monkeypatch, puncturing, decoder):
+        """Every config hands the decoder ``depuncture_rx``'s (frames, N) view of
+        a position-major array."""
+        q = 0 if puncturing == "none" else 8
+        cfg = tiny_cfg(puncturing=puncturing, q=q, decoder=decoder, list_size=2,
+                       custom_coded=tuple(range(0, 32, 4)) if puncturing == "custom" else None,
+                       sweep=(2.0,), max_frames=50, batch_size=50)
+        seen = []
+        name = f"{decoder}_decode"
+        decode = getattr(codec, name)
+        monkeypatch.setattr(codec, name, lambda llr, *a, **kw: seen.append(llr) or decode(
+            llr, *a, **kw))
+        run_point(cfg, 2.0)
+        assert [llr.shape for llr in seen] == [(50, 32)]
+        assert seen[0].T.flags.c_contiguous
+
+
 class TestEmit:
     def test_csv_shape(self):
         res = run_sweep(tiny_cfg(max_frames=100))
