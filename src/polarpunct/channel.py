@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, default_rng
 
-from .codec import LLR_SATURATION
+from .codec import LLR_SATURATION, check_length
 from .puncture import PuncturePattern
 
 AWGN = "awgn"
@@ -64,9 +64,7 @@ class ChannelConfig:
 def puncture_tx(x, pattern: PuncturePattern) -> np.ndarray:
     """Drop the pattern's coded positions; survivors keep ascending order."""
     x = np.asarray(x)
-    if x.ndim == 0 or x.shape[-1] != pattern.size:
-        got = x.shape[-1] if x.ndim else "undefined"
-        raise ValueError(f"codeword length {got} != N = {pattern.size} (shape {x.shape})")
+    check_length(x, "codeword", pattern.size, "N")
     return x[..., pattern.kept_positions]
 
 
@@ -114,10 +112,7 @@ def depuncture_rx(rx_llr, pattern: PuncturePattern) -> np.ndarray:
     batch of at most one axis, so a decoder's gather of positions reads
     whole contiguous rows."""
     rx_llr = np.asarray(rx_llr, dtype=np.float64)
-    if rx_llr.ndim == 0 or rx_llr.shape[-1] != pattern.transmitted:
-        got = rx_llr.shape[-1] if rx_llr.ndim else "undefined"
-        raise ValueError(f"received length {got} != N - Q = {pattern.transmitted} "
-                         f"(shape {rx_llr.shape})")
+    check_length(rx_llr, "received", pattern.transmitted, "N - Q")
     batch_shape = rx_llr.shape[:-1]
     # Explicit, not -1: a reshape cannot infer a dimension of an empty batch.
     frames = math.prod(batch_shape)

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import sys
+from functools import partial
 
 from . import channel as chan
 from . import construct as cons
@@ -37,24 +37,12 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-# The JSON encoder's chunks are a token or two each; this many go into one write.
-_CHUNKS_PER_WRITE = 2**12
-
-
 def _write_json(payload: dict, out: str | None) -> None:
-    """Stream ``payload`` as indented JSON and a newline to ``out``, or to stdout
-    without one, in writes of ``_CHUNKS_PER_WRITE`` encoder chunks: an
-    unbuffered stdout (``python -u``) then takes a few writes, not one per token."""
-    def write(fh):
-        chunks = json.JSONEncoder(indent=2).iterencode(payload)
-        for chunk in chunks:
-            fh.write(chunk + "".join(itertools.islice(chunks, _CHUNKS_PER_WRITE - 1)))
-        fh.write("\n")
-
+    """``payload`` as :func:`sim.write_json` writes it, to ``out`` or to stdout without one."""
     if out:
-        sim.write_atomic(out, write)
+        sim.write_atomic(out, partial(sim.write_json, payload))
     else:
-        write(sys.stdout)
+        sim.write_json(payload, sys.stdout)
 
 
 def _cmd_construct(args) -> int:
@@ -68,22 +56,26 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_puncture(args) -> int:
-    profile = spec = None
-    if args.construction:
-        profile = cons.build_profile(args.construction, args.n)
-        if args.k:
-            spec = cons.select_information_set(profile, args.k + args.crc, crc_bits=args.crc)
-
+    if args.construction is None and args.k is not None:
+        raise ValueError("--k needs --construction")
+    if args.construction is None and args.crc:
+        raise ValueError("--crc needs --construction")
+    if args.construction is not None and args.k is None:
+        raise ValueError("--construction needs --k")
     schemes = [name.strip() for name in args.compare.split(",")] if args.compare else [args.scheme]
     if args.custom_file and puncture.CUSTOM not in schemes:
         raise ValueError(f"--custom-file needs scheme 'custom', got {', '.join(schemes)}")
     coded = _read_json(args.custom_file) if args.custom_file else None
+    profile = spec = None
+    if args.construction is not None:
+        profile = cons.build_profile(args.construction, args.n)
+        spec = cons.select_information_set(profile, args.k + args.crc, crc_bits=args.crc)
     entries = []
     reports = []
     for scheme in schemes:
         pattern = puncture.make_pattern(scheme, args.n, args.q, spec, profile, coded)
         entry = pattern.to_json_dict()
-        if spec is not None and profile is not None and profile.error_prob is not None:
+        if spec is not None and profile.error_prob is not None:
             report = puncture.analyze_pattern(pattern, spec, profile)
             entry["report"] = report.to_json_dict()
             reports.append(report)
@@ -111,11 +103,7 @@ def _config_from_args(args) -> sim.SimConfig:
     overrides["sweep"] = _numbers(args.sweep, float) if args.sweep else None
     if args.custom_file:
         overrides["custom_coded"] = _read_json(args.custom_file)
-    cfg = sim.SimConfig.from_json_dict(base, **{k: v for k, v in overrides.items() if v is not None})
-    if args.custom_file and args.q is None and "q" not in base:
-        cfg = dataclasses.replace(cfg, q=len(set(cfg.custom_coded or ())))
-    cfg.validate()
-    return cfg
+    return sim.SimConfig.from_json_dict(base, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _cmd_simulate(args) -> int:
@@ -134,8 +122,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     configs = [sim.SimConfig.from_json_dict(_read_json(path))
                for path in (args.config_a, args.config_b)]
-    for cfg in configs:
-        cfg.validate()
     if configs[0].sweep != configs[1].sweep:
         raise ValueError("the two configs must share the same sweep for a joint report")
     a, b = (sim.run_sweep(cfg, workers=args.workers) for cfg in configs)

@@ -185,7 +185,7 @@ def encode(u) -> np.ndarray:
     return _frame_major(x[bit_reversal_permutation(n)], batch_shape)
 
 
-def _check_length(x: np.ndarray, what: str, want: int, name: str) -> None:
+def check_length(x: np.ndarray, what: str, want: int, name: str) -> None:
     """``ValueError`` naming the shape of ``x`` unless its last axis holds ``want`` entries."""
     if x.ndim == 0 or x.shape[-1] != want:
         got = x.shape[-1] if x.ndim else "undefined"
@@ -195,7 +195,7 @@ def _check_length(x: np.ndarray, what: str, want: int, name: str) -> None:
 def place_payload(payload, spec: PolarCodeSpec) -> np.ndarray:
     """Spread info (+CRC) bits over the information set, zeros on frozen bits."""
     payload = np.asarray(payload).astype(np.uint8)
-    _check_length(payload, "payload", spec.k + spec.crc_bits, "k + crc_bits")
+    check_length(payload, "payload", spec.k + spec.crc_bits, "k + crc_bits")
     u = np.zeros(payload.shape[:-1] + (spec.size,), dtype=np.uint8)
     u[..., spec.info_positions] = payload
     return u
@@ -204,7 +204,7 @@ def place_payload(payload, spec: PolarCodeSpec) -> np.ndarray:
 def extract_payload(u, spec: PolarCodeSpec) -> np.ndarray:
     """Inverse of :func:`place_payload` (info + CRC bits, ascending index)."""
     u = np.asarray(u)
-    _check_length(u, "u", spec.size, "N")
+    check_length(u, "u", spec.size, "N")
     return u[..., spec.info_positions]
 
 
@@ -266,7 +266,7 @@ def _coded_rows(llr, spec: PolarCodeSpec) -> tuple[np.ndarray, np.ndarray, tuple
     into one, such as a C-contiguous batch or ``depuncture_rx``'s output: a
     transposed view of it."""
     llr = np.asarray(llr, dtype=np.float64)
-    _check_length(llr, "LLR", spec.size, "N")
+    check_length(llr, "LLR", spec.size, "N")
     rows = bit_reversal_permutation(spec.n)[: spec.size // 2]
     return llr.reshape(-1, spec.size).T, rows, llr.shape[:-1]
 

@@ -16,12 +16,17 @@ the whole batch takes, so the counts do not depend on the block size. A
 point stops after the batch (never the block) that reaches max_frames or
 min_frame_errors, whichever comes first; stopping on an error count makes
 the FER estimate a fixed-error-count estimator.
+
+A :class:`SimConfig` checks itself however it is built (directly, from JSON,
+by ``dataclasses.replace`` or :func:`load_result`); with custom puncturing an
+omitted ``q`` (0) is the number of distinct ``custom_coded`` positions.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -47,7 +52,7 @@ _BLOCK_COLUMNS = 2**12
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full description of one simulation sweep."""
+    """Full description of one simulation sweep; a broken rule raises ``ValueError``."""
 
     n: int
     k: int
@@ -77,7 +82,7 @@ class SimConfig:
     def rate(self) -> float:
         return self.k / self.transmitted
 
-    def validate(self) -> None:
+    def __post_init__(self):
         N = self.size
         if not 1 <= self.n <= construct.MAX_CODE_WIDTH:
             raise ValueError(f"n must be in [1, {construct.MAX_CODE_WIDTH}], got {self.n}")
@@ -98,10 +103,13 @@ class SimConfig:
         if self.puncturing == puncture.CUSTOM:
             if self.custom_coded is None:
                 raise ValueError("custom puncturing needs coded positions")
-            if len(set(self.custom_coded)) != self.q:
-                raise ValueError("q must match the number of custom coded positions")
             # The range and type rules of the pattern build, without its propagation.
             bitops.check_index(self.custom_coded, self.n)
+            distinct = len(set(self.custom_coded))
+            if self.q == 0:  # omitted: the positions give it
+                object.__setattr__(self, "q", distinct)
+            if self.q != distinct:
+                raise ValueError("q must match the number of custom coded positions")
             if self.q >= N:
                 raise ValueError("cannot puncture every coded symbol")
         elif self.custom_coded is not None:
@@ -153,9 +161,11 @@ class SimConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict, **overrides) -> "SimConfig":
-        """Config from its JSON fields, ``overrides`` replacing some. A ``d`` that is
-        no JSON object, an unknown or missing required field, or a value that
-        does not fit its field's type raises ``ValueError`` naming the field."""
+        """Checked config from its JSON fields, ``overrides`` replacing some. A ``d``
+        that is no JSON object, an unknown or missing required field, or a value
+        that does not fit its field's type raises ``ValueError`` naming the
+        field; so does any rule of :class:`SimConfig`. A custom config may omit
+        ``q``, which the positions then give."""
         if type(d) is not dict:
             raise ValueError(f"a config must be a JSON object, got {d!r}")
         d = {**d, **overrides}
@@ -225,7 +235,6 @@ class SimResult:
 
 def build_components(cfg: SimConfig):
     """Profile, code spec, pattern (empty without puncturing) and CRC polynomial of a config."""
-    cfg.validate()
     profile = construct.build_profile(cfg.construction, cfg.n, cfg.design_snr_db())
     spec = construct.select_information_set(profile, cfg.k + cfg.crc_bits, crc_bits=cfg.crc_bits)
     pattern = (puncture.custom_pattern((), cfg.n) if cfg.puncturing == "none" else
@@ -365,6 +374,21 @@ def write_atomic(path: str, write) -> None:
             os.remove(tmp)
 
 
+# The JSON encoder's chunks are a token or two each; this many go into one write.
+_CHUNKS_PER_WRITE = 2**12
+
+
+def write_json(payload, fh) -> None:
+    """Stream ``payload`` to the open file ``fh`` as indented JSON and a newline,
+    in writes of ``_CHUNKS_PER_WRITE`` encoder chunks: the text is never held
+    whole, and an unbuffered stdout (``python -u``) takes a few writes, not one
+    per token."""
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    for chunk in chunks:
+        fh.write(chunk + "".join(itertools.islice(chunks, _CHUNKS_PER_WRITE - 1)))
+    fh.write("\n")
+
+
 FORMATS = ("json", "csv")
 
 
@@ -382,18 +406,12 @@ def emit(result: SimResult, out_prefix: str, formats: tuple[str, ...] = FORMATS)
     through :func:`write_atomic`, so a failed write leaves any earlier
     file whole.
     """
-    def write_json(fh) -> None:
-        json.dump(result.to_json_dict(), fh, indent=2)
-        fh.write("\n")
-
-    def write_csv(fh) -> None:
-        fh.write(result_csv(result))
-
     check_formats(formats)
     paths = []
     for fmt in formats:
         path = f"{out_prefix}.{fmt}"
-        write_atomic(path, write_json if fmt == "json" else write_csv)
+        write_atomic(path, partial(write_json, result.to_json_dict()) if fmt == "json"
+                     else lambda fh: fh.write(result_csv(result)))
         paths.append(path)
     return paths
 

@@ -32,3 +32,12 @@ def test_usage_error():
     proc = _peak_rss("10000", sys.executable, "-c", "pass")
     assert proc.returncode == 2
     assert proc.stderr.startswith("usage:")
+
+
+@pytest.mark.parametrize("argv", [("abc", "--", "true"), ("nan", "--", "true"),
+                                  ("0", "--", "true"), ()])
+def test_bad_limit_is_a_usage_error(argv):
+    proc = _peak_rss(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage:")
+    assert proc.stdout == ""

@@ -175,6 +175,27 @@ class TestPunctureCommand:
         assert custom_entry["scheme"] == "custom"
         assert custom_entry["coded_set"] == [1, 5]
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--k", "6"), "--k needs --construction"),
+        (("--crc", "8"), "--crc needs --construction"),
+        (("--k", "6", "--crc", "8"), "--k needs --construction"),
+        (("--construction", "bec:0.3"), "--construction needs --k"),
+        (("--construction", "bec:0.3", "--crc", "8"), "--construction needs --k"),
+    ])
+    def test_unused_construction_flags_rejected(self, tmp_path, capsys, monkeypatch,
+                                                flags, message):
+        def built(*args):
+            raise AssertionError("built before the flags were checked")
+
+        monkeypatch.setattr(puncture, "make_pattern", built)
+        monkeypatch.setattr(construct, "build_profile", built)
+        out = tmp_path / "p.json"
+        assert run_cli("puncture", "--n", "4", "--q", "3", "--scheme", "qup", *flags,
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_wqp_q_too_large(self, capsys):
         assert run_cli("puncture", "--n", "3", "--q", "5", "--scheme", "wqp",
                        "--construction", "bec:0.5", "--k", "4") == 1
@@ -363,6 +384,31 @@ class TestSimulateCommand:
         assert data["config"]["q"] == 2
         assert data["pattern"]["coded_set"] == [0, 8]
 
+    def test_config_file_custom_q_from_positions(self, tmp_path):
+        # The same default as --custom-file: q is the number of distinct positions.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 4, "k": 6, "construction": "bec:0.3", "channel": "bec",
+                                   "puncturing": "custom", "custom_coded": [1, 5],
+                                   "sweep": [0.3], "max_frames": 100}))
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 0
+        data = json.loads((tmp_path / "run.json").read_text())
+        assert data["config"]["q"] == 2
+        assert data["pattern"]["coded_set"] == [1, 5]
+
+    @pytest.mark.parametrize("file_q, flags", [({"q": 3}, ()), ({}, ("--q", "3"))])
+    def test_custom_q_must_match_positions(self, tmp_path, capsys, file_q, flags):
+        custom = tmp_path / "f.json"
+        custom.write_text("[0, 8]")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 4, "k": 6, "puncturing": "custom", "sweep": [3.0],
+                                   **file_q}))
+        assert run_cli("simulate", "--config", str(cfg), "--custom-file", str(custom), *flags,
+                       "--out", str(tmp_path / "run")) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: q must match the number of custom coded positions")
+        assert not (tmp_path / "run.json").exists()
+
 
 class TestCompareCommand:
     def test_joint_csv(self, tmp_path):
@@ -455,6 +501,14 @@ class TestJsonOutput:
         out = tmp_path / "out.json"
         assert run_cli(*argv, "--out", str(out)) == 0
         assert out.read_bytes() == expected.encode()
+
+    def test_emit_json_bytes(self, tmp_path):
+        # emit writes through the same streaming writer as the commands.
+        result = sim.run_sweep(sim.SimConfig(n=4, k=6, construction="bec:0.3", channel="bec",
+                                             sweep=(0.3,), max_frames=50))
+        sim.emit(result, str(tmp_path / "run"), ("json",))
+        expected = json.dumps(result.to_json_dict(), indent=2) + "\n"
+        assert (tmp_path / "run.json").read_bytes() == expected.encode()
 
     def test_stdout_takes_few_writes(self, tmp_path, monkeypatch):
         """Stdout gets the encoder's chunks joined into a few writes, not one per

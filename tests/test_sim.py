@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -31,35 +32,70 @@ def tiny_cfg(**kw) -> SimConfig:
     return SimConfig(**base)
 
 
+# Configs that break one rule each, as keyword changes to tiny_cfg().
+INVALID = [
+    dict(k=0),
+    dict(crc_bits=5),
+    dict(q=32),
+    dict(puncturing="wqp", q=25),          # beyond N - k
+    dict(puncturing="none", q=4),
+    dict(puncturing="custom"),              # missing positions
+    dict(decoder="bp"),
+    dict(channel="fading"),
+    dict(sweep=()),
+    dict(sweep=(1.0, 1.0)),
+    dict(construction="bec"),               # missing erasure probability
+    dict(construction="quantized:1"),
+    dict(channel="bec", sweep=(0.2, 1.4)),
+    dict(master_seed=-1),
+    dict(k=30, q=8),                        # k > transmitted symbols
+    dict(sweep=(1.0, float("nan"))),
+    dict(sweep=(float("inf"),)),
+    dict(puncturing="qup", q=2, custom_coded=(0, 8)),  # positions QUP ignores
+    dict(puncturing="custom", q=1, custom_coded=(32,)),  # position past N
+    dict(puncturing="custom", q=1, custom_coded=(-1,)),  # negative position
+    dict(puncturing="custom", q=0, custom_coded=(0, 32)),  # q derived only after the range check
+    dict(puncturing="custom", q=0, custom_coded=tuple(range(32))),  # every symbol punctured
+]
+
+
 class TestConfigValidation:
     def test_valid(self):
-        tiny_cfg().validate()
+        tiny_cfg()
 
-    @pytest.mark.parametrize("kw", [
-        dict(k=0),
-        dict(crc_bits=5),
-        dict(q=32),
-        dict(puncturing="wqp", q=25),          # beyond N - k
-        dict(puncturing="none", q=4),
-        dict(puncturing="custom"),              # missing positions
-        dict(decoder="bp"),
-        dict(channel="fading"),
-        dict(sweep=()),
-        dict(sweep=(1.0, 1.0)),
-        dict(construction="bec"),               # missing erasure probability
-        dict(construction="quantized:1"),
-        dict(channel="bec", sweep=(0.2, 1.4)),
-        dict(master_seed=-1),
-        dict(k=30, q=8),                        # k > transmitted symbols
-        dict(sweep=(1.0, float("nan"))),
-        dict(sweep=(float("inf"),)),
-        dict(puncturing="qup", q=2, custom_coded=(0, 8)),  # positions QUP ignores
-        dict(puncturing="custom", q=1, custom_coded=(32,)),  # position past N
-        dict(puncturing="custom", q=1, custom_coded=(-1,)),  # negative position
-    ])
+    @pytest.mark.parametrize("kw", INVALID)
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
-            tiny_cfg(**kw).validate()
+            tiny_cfg(**kw)
+
+    @pytest.mark.parametrize("kw", INVALID)
+    def test_invalid_however_built(self, kw):
+        """JSON and ``dataclasses.replace`` build through the same checks, with the same message."""
+        with pytest.raises(ValueError) as direct:
+            tiny_cfg(**kw)
+        d = json.loads(json.dumps({**tiny_cfg().to_json_dict(), **kw}))
+        with pytest.raises(ValueError) as from_json:
+            SimConfig.from_json_dict(d)
+        with pytest.raises(ValueError) as replaced:
+            dataclasses.replace(tiny_cfg(), **kw)
+        assert str(from_json.value) == str(replaced.value) == str(direct.value)
+
+    def test_every_symbol_punctured_rejected_when_built(self):
+        # Not a ZeroDivisionError from the rate later.
+        with pytest.raises(ValueError, match=r"q must be in \(0, 4\) for qup"):
+            SimConfig(n=2, k=1, puncturing="qup", q=4, sweep=(1.0,))
+
+    def test_custom_q_from_positions(self):
+        cfg = SimConfig(n=5, k=12, puncturing="custom", custom_coded=(0, 8, 8, 16), sweep=(2.0,))
+        assert cfg.q == 3
+        assert cfg.transmitted == 29
+        assert tiny_cfg(puncturing="custom", q=3, custom_coded=(0, 8, 16)).q == 3
+        assert SimConfig.from_json_dict(cfg.to_json_dict()) == cfg
+
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_custom_q_must_match_positions(self, q):
+        with pytest.raises(ValueError, match="q must match the number of custom coded positions"):
+            tiny_cfg(puncturing="custom", q=q, custom_coded=(0, 8, 16))
 
     def test_ga_design_defaults_to_sweep_midpoint(self):
         cfg = tiny_cfg(sweep=(1.0, 3.0))
@@ -72,7 +108,7 @@ class TestConfigValidation:
 
     def test_bec_channel_needs_explicit_ga_design(self):
         with pytest.raises(ValueError):
-            tiny_cfg(channel="bec", construction="ga", sweep=(0.3,)).validate()
+            tiny_cfg(channel="bec", construction="ga", sweep=(0.3,))
 
     def test_round_trip_json(self):
         cfg = tiny_cfg()
@@ -104,7 +140,6 @@ class TestBuildComponents:
         monkeypatch.setattr(puncture, "propagate",
                             lambda *args: calls.append(args) or propagate(*args))
         cfg = tiny_cfg(puncturing="custom", q=3, custom_coded=(0, 8, 16))
-        cfg.validate()  # as the CLI does before building
         assert build_components(cfg)[2].coded_set == (0, 8, 16)
         assert len(calls) == 1
 
@@ -338,6 +373,13 @@ class TestRunSweep:
         cfg = tiny_cfg(max_frames=200)
         assert run_sweep(cfg, workers=2) == run_sweep(cfg, workers=1)
 
+    def test_unpickled_config_is_not_checked_again(self, monkeypatch):
+        # Workers receive their config pickled; unpickling runs no check.
+        cfg = tiny_cfg(puncturing="custom", q=0, custom_coded=(0, 8, 16))
+        data = pickle.dumps(cfg)
+        monkeypatch.setattr(SimConfig, "__post_init__", lambda self: pytest.fail("checked"))
+        assert pickle.loads(data) == cfg
+
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
         """The ``max_workers`` of every pool ``run_sweep`` opens. The stand-in
@@ -465,6 +507,15 @@ class TestEmit:
         # wall time is serialized even though it is excluded from equality
         assert back.points[0].wall_time_s == res.points[0].wall_time_s
 
+    def test_load_rejects_invalid_config(self, tmp_path):
+        emit(run_sweep(tiny_cfg(max_frames=100)), str(tmp_path / "out"), formats=("json",))
+        path = tmp_path / "out.json"
+        d = json.loads(path.read_text())
+        d["config"]["q"] = 32
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=r"q must be in \(0, 32\) for qup"):
+            load_result(str(path))
+
     def test_unwritable_path(self):
         res = run_sweep(tiny_cfg(max_frames=100))
         with pytest.raises(OSError):
@@ -487,7 +538,7 @@ class TestEmit:
         def failing_dump(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(json, "dump", failing_dump)
+        monkeypatch.setattr(json.JSONEncoder, "iterencode", failing_dump)
         with pytest.raises(type(error), match="disk full") as info:
             emit(res, str(tmp_path / "out"), formats=("json",))
         if isinstance(error, OSError):
