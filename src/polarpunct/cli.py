@@ -62,7 +62,9 @@ def _cmd_puncture(args) -> int:
         raise ValueError("--crc needs --construction")
     if args.construction is not None and args.k is None:
         raise ValueError("--construction needs --k")
-    schemes = [name.strip() for name in args.compare.split(",")] if args.compare else [args.scheme]
+    if args.scheme and args.compare:
+        raise ValueError("--scheme and --compare exclude each other")
+    schemes = [name.strip() for name in (args.compare or args.scheme or puncture.QUP).split(",")]
     if args.custom_file and puncture.CUSTOM not in schemes:
         raise ValueError(f"--custom-file needs scheme 'custom', got {', '.join(schemes)}")
     coded = _read_json(args.custom_file) if args.custom_file else None
@@ -156,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("puncture", help="emit a puncture pattern and diagnostics")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--scheme", default=puncture.QUP, choices=puncture.SCHEMES)
+    p.add_argument("--scheme", choices=puncture.SCHEMES, help="default: qup")
     p.add_argument("--custom-file", help="JSON list of coded-symbol positions")
     p.add_argument("--compare", help="comma pair of schemes, e.g. qup,wqp")
     _add_construction_flags(p, required=False)

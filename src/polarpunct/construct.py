@@ -106,15 +106,14 @@ class ReliabilityProfile:
 
 @dataclass(frozen=True)
 class PolarCodeSpec:
-    """Code parameters with a fixed information set.
+    """Code parameters with a fixed information set; a broken rule raises ``ValueError``.
 
-    ``info_set`` holds the ``k + crc_bits`` most reliable indices under the
-    construction it was derived from, strictly ascending. Once selected it
-    stays fixed, in particular across puncturing. Everything else is
-    derived from it once per spec and takes no part in equality or
-    hashing: ``frozen_set``, its ascending complement (written to JSON as
-    ``"F"``), and the read-only arrays ``info_positions`` and
-    ``frozen_mask``.
+    ``crc_bits`` is one of :data:`CRC_WIDTHS`. ``info_set`` holds the ``k + crc_bits``
+    most reliable indices under the construction it was derived from, strictly
+    ascending, and stays fixed once selected, in particular across puncturing.
+    Everything else is derived from it once per spec and takes no part in
+    equality or hashing: ``frozen_set``, its ascending complement (``"F"`` in
+    JSON), and the read-only arrays ``info_positions`` and ``frozen_mask``.
     """
 
     n: int
@@ -130,6 +129,8 @@ class PolarCodeSpec:
         # So a code without an information bit carries no CRC bits either.
         if self.k < 0:
             raise ValueError(f"k must be >= 0, got {self.k}")
+        if self.crc_bits not in CRC_WIDTHS:
+            raise ValueError(f"crc_bits must be one of {CRC_WIDTHS}, got {self.crc_bits}")
         if info.size != self.k + self.crc_bits:
             raise ValueError("information set size must equal k + crc_bits")
 
@@ -462,8 +463,6 @@ def select_information_set(profile: ReliabilityProfile, count: int,
     N = profile.size
     if not 0 < count <= N:
         raise ValueError(f"count must be in [1, {N}], got {count}")
-    if crc_bits not in CRC_WIDTHS:
-        raise ValueError(f"crc_bits must be one of {CRC_WIDTHS}, got {crc_bits}")
     if count <= crc_bits:
         raise ValueError("count must exceed crc_bits")
     info = tuple(np.sort(profile.best_first()[:count]).tolist())

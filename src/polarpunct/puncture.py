@@ -175,7 +175,7 @@ def custom_pattern(coded_positions: Iterable[int], n: int) -> PuncturePattern:
     a flat sequence of integers raises ``ValueError`` naming it.
     """
     try:
-        positions = sorted(set(coded_positions))
+        positions = sorted(set(map(operator.index, coded_positions)))
     except TypeError:
         raise ValueError("custom coded positions must be a flat sequence of integers, "
                          f"got {coded_positions!r}") from None

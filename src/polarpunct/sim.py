@@ -17,9 +17,9 @@ point stops after the batch (never the block) that reaches max_frames or
 min_frame_errors, whichever comes first; stopping on an error count makes
 the FER estimate a fixed-error-count estimator.
 
-A :class:`SimConfig` checks itself however it is built (directly, from JSON,
-by ``dataclasses.replace`` or :func:`load_result`); with custom puncturing an
-omitted ``q`` (0) is the number of distinct ``custom_coded`` positions.
+A :class:`SimConfig` checks its field types, then its values, however it is
+built (directly, from JSON, by ``dataclasses.replace`` or :func:`load_result`);
+with custom puncturing an omitted ``q`` (0) is the number of distinct positions.
 """
 
 from __future__ import annotations
@@ -83,6 +83,13 @@ class SimConfig:
         return self.k / self.transmitted
 
     def __post_init__(self):
+        for f in fields(self):
+            what, types, item_ok = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if type(value) not in types or item_ok and not all(map(item_ok, value or ())):
+                raise ValueError(f"config field {f.name!r} must be {what}, got {value!r}")
+            if type(value) is list:
+                object.__setattr__(self, f.name, tuple(value))
         N = self.size
         if not 1 <= self.n <= construct.MAX_CODE_WIDTH:
             raise ValueError(f"n must be in [1, {construct.MAX_CODE_WIDTH}], got {self.n}")
@@ -103,7 +110,7 @@ class SimConfig:
         if self.puncturing == puncture.CUSTOM:
             if self.custom_coded is None:
                 raise ValueError("custom puncturing needs coded positions")
-            # The range and type rules of the pattern build, without its propagation.
+            # The range rule of the pattern build, without its propagation.
             bitops.check_index(self.custom_coded, self.n)
             distinct = len(set(self.custom_coded))
             if self.q == 0:  # omitted: the positions give it
@@ -121,14 +128,12 @@ class SimConfig:
             raise ValueError(f"decoder must be one of {DECODERS}")
         if self.decoder == "scl" and self.list_size < 1:
             raise ValueError("list_size must be >= 1")
-        if self.channel not in chan.KINDS:
-            raise ValueError(f"channel must be one of {chan.KINDS}, got {self.channel}")
         if not self.sweep:
             raise ValueError("sweep must contain at least one point")
         if len(set(self.sweep)) != len(self.sweep):
             raise ValueError("sweep points must be distinct")
         for value in self.sweep:
-            self.channel_config(value)  # rejects a point out of the channel's range
+            self.channel_config(value)  # rejects an unknown channel and a point out of its range
         if self.max_frames < 1 or self.min_frame_errors < 1 or self.batch_size < 1:
             raise ValueError("max_frames, min_frame_errors and batch_size must be >= 1")
         if self.master_seed < 0:
@@ -162,10 +167,10 @@ class SimConfig:
     @classmethod
     def from_json_dict(cls, d: dict, **overrides) -> "SimConfig":
         """Checked config from its JSON fields, ``overrides`` replacing some. A ``d``
-        that is no JSON object, an unknown or missing required field, or a value
-        that does not fit its field's type raises ``ValueError`` naming the
-        field; so does any rule of :class:`SimConfig`. A custom config may omit
-        ``q``, which the positions then give."""
+        that is no JSON object or an unknown or missing required field raises
+        ``ValueError`` naming the field; so does any rule of :class:`SimConfig`,
+        its field types included. A custom config may omit ``q``, which the
+        positions then give."""
         if type(d) is not dict:
             raise ValueError(f"a config must be a JSON object, got {d!r}")
         d = {**d, **overrides}
@@ -175,22 +180,16 @@ class SimConfig:
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
         if missing:
             raise ValueError(f"missing required config fields: {missing}")
-        for f in fields(cls):
-            if f.name in d:
-                what, types, items = _JSON_TYPES[f.type]
-                value = d[f.name]
-                listed = type(value) is list
-                # type(), not isinstance(): a JSON true is no integer here.
-                if type(value) not in types or listed and any(type(x) not in items for x in value):
-                    raise ValueError(f"config field {f.name!r} must be {what}, got {value!r}")
-                d[f.name] = tuple(value) if listed else value
         return cls(**d)
 
 
-# Per SimConfig field type: what it is in JSON, its JSON types and those of its list items.
-_JSON_TYPES = {"int": ("an integer", (int,), ()), "str": ("a string", (str,), ()),
-               "tuple[float, ...]": ("a list of numbers", (list,), (int, float)),
-               "tuple[int, ...] | None": ("a list of integers or null", (list, type(None)), (int,))}
+# Per SimConfig field type: what it is, its types and a test of each item of a tuple or list.
+# type(), not isinstance(): a bool or a numpy integer is no integer, but any float is a number.
+_FIELD_TYPES = {"int": ("an integer", (int,), None), "str": ("a string", (str,), None),
+                "tuple[float, ...]": ("a list of numbers", (tuple, list),
+                                      lambda x: type(x) is int or isinstance(x, float)),
+                "tuple[int, ...] | None": ("a list of integers or null",
+                                           (tuple, list, type(None)), lambda x: type(x) is int)}
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,24 @@ class TestPunctureCommand:
         assert err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("scheme", ["wqp", "qup"])
+    def test_scheme_and_compare_rejected(self, tmp_path, capsys, monkeypatch, scheme):
+        # Not --compare run alone with --scheme dropped; qup, the default, included.
+        def built(*args):
+            raise AssertionError("built before the flags were checked")
+
+        monkeypatch.setattr(puncture, "make_pattern", built)
+        monkeypatch.setattr(construct, "build_profile", built)
+        out = tmp_path / "p.json"
+        assert run_cli("puncture", "--n", "4", "--q", "3", "--scheme", scheme,
+                       "--compare", "qup,qup", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: --scheme and --compare exclude each other\n"
+        assert not out.exists()
+
+    def test_default_scheme_is_qup(self, capsys):
+        assert run_cli("puncture", "--n", "3", "--q", "4") == 0
+        assert json.loads(capsys.readouterr().out)["patterns"][0]["scheme"] == "qup"
+
     def test_wqp_q_too_large(self, capsys):
         assert run_cli("puncture", "--n", "3", "--q", "5", "--scheme", "wqp",
                        "--construction", "bec:0.5", "--k", "4") == 1

@@ -491,10 +491,12 @@ class TestSclDecode:
             assert np.array_equal(got, want)
 
     def test_unregistered_crc_width_rejected(self):
-        spec = PolarCodeSpec(n=4, k=4, crc_bits=4, info_set=tuple(range(8, 16)),
-                             construction="fixed")
+        # A spec carries no CRC width without a polynomial, so none reaches the decoder.
+        with pytest.raises(ValueError, match=r"crc_bits must be one of \(0, 8, 16\), got 4"):
+            PolarCodeSpec(n=4, k=4, crc_bits=4, info_set=tuple(range(8, 16)),
+                          construction="fixed")
         with pytest.raises(ValueError, match="width 4"):
-            scl_decode(np.zeros(16), spec, 2)
+            crc_for_width(4)
 
     def test_list_size_validated(self):
         spec = select_information_set(ga_reliability(3, 0.0), 4)

@@ -417,6 +417,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=message):
             PolarCodeSpec(n=2, k=k, crc_bits=0, info_set=info, construction="explicit")
 
+    @pytest.mark.parametrize("crc_bits", [5, -1, 4])
+    def test_unregistered_crc_width_rejected_when_built(self, crc_bits):
+        # Not later, by the decoder that looks up its polynomial.
+        info = tuple(range(1, 3 + crc_bits))  # k + crc_bits indices: only the width is wrong
+        with pytest.raises(ValueError, match=r"crc_bits must be one of \(0, 8, 16\)"):
+            PolarCodeSpec(n=3, k=2, crc_bits=crc_bits, info_set=info, construction="x")
+
 
 class TestCodeWidthLimit:
     @pytest.mark.parametrize("build", [lambda n: bec_bhattacharyya(n, 0.5),

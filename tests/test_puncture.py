@@ -234,7 +234,8 @@ class TestCustomPattern:
         with pytest.raises(ValueError):
             custom_pattern(range(8), 3)
 
-    @pytest.mark.parametrize("positions", [5, [[1]], [1, "a"]])
+    # Nested tuples are hashable, so they pass set() and must be refused by their items.
+    @pytest.mark.parametrize("positions", [5, [[1]], [1, "a"], ((1,),), ((1, 2),)])
     def test_not_a_flat_integer_sequence(self, positions):
         with pytest.raises(ValueError, match="flat sequence of integers"):
             custom_pattern(positions, 3)

@@ -59,6 +59,51 @@ INVALID = [
 ]
 
 
+# Python values of a wrong type, each with the field it breaks, as keyword changes to
+# tiny_cfg(). A float or numpy integer here was once built and failed only in the sweep
+# or when the result was written.
+WRONG_TYPES = [
+    ("n", dict(n=4.0)),
+    ("k", dict(k=6.0)),
+    ("q", dict(puncturing="qup", q=70.0)),
+    ("list_size", dict(decoder="scl", list_size=2.0)),
+    ("batch_size", dict(batch_size=10.5)),
+    ("custom_coded", dict(puncturing="custom", q=0, custom_coded=((1,),))),
+    ("q", dict(puncturing="qup", q=np.int64(3))),
+]
+
+# JSON-shaped values for config fields (lists, never tuples): of each field type, and of any.
+_JSON_INTS = st.integers(-2, 40)
+_JSON_NUMBERS = st.one_of(_JSON_INTS, _JSON_INTS.map(float), st.floats(-50.0, 50.0))
+_JSON_STRINGS = st.sampled_from(["qup", "wqp", "custom", "none", "sc", "scl", "awgn", "bec",
+                                 "ga", "bec:0.3", "ga:1.0", "x"])
+_JSON_OF_TYPE = {"int": _JSON_INTS, "str": _JSON_STRINGS,
+                 "tuple[float, ...]": st.lists(_JSON_NUMBERS, max_size=4),
+                 "tuple[int, ...] | None": st.one_of(st.none(), st.lists(_JSON_INTS, max_size=4))}
+_JSON_VALUES = st.one_of(
+    _JSON_NUMBERS, st.booleans(), st.none(), _JSON_STRINGS,
+    st.lists(st.one_of(_JSON_NUMBERS, st.booleans()), max_size=4),
+    st.lists(st.lists(_JSON_INTS, max_size=2), min_size=1, max_size=2),
+)
+
+
+@st.composite
+def _json_changes(draw):
+    """A few config fields, each set to a JSON value of any type or, three times as
+    often, of its own type, so value rules are reached too."""
+    chosen = draw(st.lists(st.sampled_from(dataclasses.fields(SimConfig)), max_size=3,
+                           unique=True))
+    return {f.name: draw(_JSON_VALUES if draw(st.integers(0, 3)) == 3 else _JSON_OF_TYPE[f.type])
+            for f in chosen}
+
+
+def _built_or_message(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 class TestConfigValidation:
     def test_valid(self):
         tiny_cfg()
@@ -114,6 +159,45 @@ class TestConfigValidation:
         cfg = tiny_cfg()
         back = SimConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
         assert back == cfg
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(_json_changes())
+    def test_one_check_path(self, changes):
+        """A direct build and a JSON build of the same values agree: an equal config
+        or a ``ValueError`` with the same message, field types included."""
+        kw = {**tiny_cfg().to_json_dict(), **changes}
+        direct = _built_or_message(lambda: SimConfig(**kw))
+        from_json = _built_or_message(
+            lambda: SimConfig.from_json_dict(json.loads(json.dumps(kw))))
+        assert direct == from_json
+
+    @pytest.mark.parametrize("name, kw", WRONG_TYPES)
+    def test_wrong_type_rejected_however_built(self, name, kw):
+        with pytest.raises(ValueError, match=f"^config field '{name}' must be") as direct:
+            tiny_cfg(**kw)
+        with pytest.raises(ValueError) as replaced:
+            dataclasses.replace(tiny_cfg(), **kw)
+        assert str(replaced.value) == str(direct.value)
+
+    @pytest.mark.parametrize("name, kw", [c for c in WRONG_TYPES if type(c[1][c[0]]) is float])
+    def test_wrong_type_message_is_the_json_one(self, name, kw):
+        d = json.loads(json.dumps({**tiny_cfg().to_json_dict(), **kw}))
+        with pytest.raises(ValueError) as from_json:
+            SimConfig.from_json_dict(d)
+        with pytest.raises(ValueError) as direct:
+            tiny_cfg(**kw)
+        assert str(from_json.value) == str(direct.value)
+
+    def test_lists_stored_as_tuples(self):
+        cfg = tiny_cfg(puncturing="custom", q=0, sweep=[2.0, 4], custom_coded=[0, 8])
+        assert cfg.sweep == (2.0, 4) and cfg.custom_coded == (0, 8)
+        assert cfg == tiny_cfg(puncturing="custom", q=0, sweep=(2.0, 4), custom_coded=(0, 8))
+        hash(cfg)
+
+    def test_numpy_float_sweep_point_runs_and_emits(self, tmp_path):
+        cfg = tiny_cfg(sweep=(np.float64(2.0),), max_frames=20, batch_size=20)
+        paths = emit(run_sweep(cfg), str(tmp_path / "run"))
+        assert load_result(paths[0]).config == cfg
 
 
 class TestBuildComponents:
