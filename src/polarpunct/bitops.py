@@ -18,8 +18,15 @@ MAX_WIDTH = 32
 
 
 def check_width(n: int) -> None:
-    if not isinstance(n, (int,)) or not MIN_WIDTH <= n <= MAX_WIDTH:
+    if type(n) is not int or not MIN_WIDTH <= n <= MAX_WIDTH:
         raise ValueError(f"width must be an integer in [{MIN_WIDTH}, {MAX_WIDTH}], got {n!r}")
+
+
+def check_ints(**counts) -> None:
+    """``ValueError`` naming the first of ``counts`` whose type is not exactly ``int``."""
+    for name, value in counts.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_index(i, n: int) -> np.ndarray:

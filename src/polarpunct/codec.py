@@ -57,7 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitops import bit_reversal_permutation
+from .bitops import bit_reversal_permutation, check_ints
 from .construct import PolarCodeSpec
 
 LLR_SATURATION = 40.0
@@ -363,6 +363,7 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int) -> np.ndarray:
     As in :func:`sc_decode`, the root reads ``llr`` in coded order; the
     channel LLRs have one path, so no permutation ever gathers them.
     """
+    check_ints(list_size=list_size)
     if list_size < 1:
         raise ValueError(f"list size must be >= 1, got {list_size}")
     crc = crc_for_width(spec.crc_bits) if spec.crc_bits else None

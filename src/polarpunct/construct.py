@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bitops import check_index, popcount
+from .bitops import check_index, check_ints, popcount
 
 BEC_EXACT = "bec"
 GA = "ga"
@@ -123,6 +123,7 @@ class PolarCodeSpec:
     construction: str
 
     def __post_init__(self):
+        check_ints(k=self.k, crc_bits=self.crc_bits)
         info = check_index(self.info_set, self.n)
         if info.ndim != 1 or (info[1:] <= info[:-1]).any():
             raise ValueError("information set must be a strictly ascending sequence")
@@ -170,6 +171,7 @@ class PolarCodeSpec:
 
 
 def _check_code_width(n: int) -> None:
+    check_ints(n=n)
     if not 0 <= n <= MAX_CODE_WIDTH:
         raise ValueError(f"n must be in [0, {MAX_CODE_WIDTH}], got {n}")
 
@@ -460,6 +462,7 @@ def select_information_set(profile: ReliabilityProfile, count: int,
     information bits). The selection is deterministic; see
     :meth:`ReliabilityProfile.best_first` for the tie-break rule.
     """
+    check_ints(count=count, crc_bits=crc_bits)
     N = profile.size
     if not 0 < count <= N:
         raise ValueError(f"count must be in [1, {N}], got {count}")

@@ -3,8 +3,8 @@
 A sweep runs one point per channel parameter. Each point draws uniform
 random information bits per frame, attaches the CRC, places the payload on
 the information set, encodes, drops the punctured coded symbols, sends the
-survivors through the channel, re-inserts zero LLRs, decodes and counts
-frame and information-bit errors.
+survivors through the channel, re-inserts zero LLRs, decodes and records each
+frame's information-bit errors; a frame with a nonzero count is a frame error.
 
 Reproducibility: frames are processed in fixed-size batches and every batch
 derives its own random stream from (master_seed, point_index, batch_index),
@@ -12,7 +12,7 @@ so (config, master_seed) fully determines every emitted number regardless
 of execution order. A batch draws all its information bits first, then
 streams through the chain in frame blocks of ``_BLOCK_COLUMNS`` (frame,
 path) columns; the blocks take the batch's noise in the order one draw of
-the whole batch takes, so the counts do not depend on the block size. A
+the whole batch takes, so the record does not depend on the block size. A
 point stops after the batch (never the block) that reaches max_frames or
 min_frame_errors, whichever comes first; stopping on an error count makes
 the FER estimate a fixed-error-count estimator.
@@ -256,13 +256,14 @@ def _channel_llrs(payload, spec, pattern, channel_cfg: chan.ChannelConfig, rng) 
 
 
 def _run_batch(components, cfg: SimConfig, channel_cfg: chan.ChannelConfig,
-               point_index: int, batch_index: int, frames: int) -> tuple[int, int]:
-    """Frame and information-bit errors of one seeded batch of ``frames`` frames.
+               point_index: int, batch_index: int, frames: int) -> np.ndarray:
+    """Per-frame error record of one seeded batch of ``frames`` frames.
 
-    The batch's information bits and CRC are drawn whole; the chain, from
-    placement to error count, then runs on consecutive blocks of
-    ``max(1, _BLOCK_COLUMNS // paths)`` frames, ``paths`` being the list size
-    for SCL and 1 for SC.
+    Entry ``i`` (``np.intp``) is the number of frame ``i``'s ``k`` information
+    bits decoded wrong, CRC bits aside, so a frame error is a nonzero entry.
+    The bits and CRC are drawn whole; the chain, from placement to error
+    count, then runs on blocks of ``max(1, _BLOCK_COLUMNS // paths)`` frames
+    (``paths``: the list size for SCL, 1 for SC), each writing its slice.
     """
     _, spec, pattern, crc_poly = components
     if cfg.decoder == "sc":
@@ -273,26 +274,24 @@ def _run_batch(components, cfg: SimConfig, channel_cfg: chan.ChannelConfig,
     info = rng.integers(0, 2, size=(frames, cfg.k), dtype=np.uint8)
     payload = info if crc_poly is None else codec.crc_append(info, crc_poly)
     step = max(1, _BLOCK_COLUMNS // paths)
-    frame_errors = bit_errors = 0
+    errors = np.empty(frames, dtype=np.intp)
     for lo in range(0, frames, step):
         # Nested calls, so the decoder's input and output are freed once read.
         payload_hat = codec.extract_payload(
             decode(_channel_llrs(payload[lo : lo + step], spec, pattern, channel_cfg, rng),
                    spec), spec)
-        errs = payload_hat[:, : cfg.k] != info[lo : lo + step]
-        frame_errors += int(errs.any(axis=1).sum())
-        bit_errors += int(errs.sum())
-    return frame_errors, bit_errors
+        errors[lo : lo + step] = (payload_hat[:, : cfg.k] != info[lo : lo + step]).sum(axis=1)
+    return errors
 
 
 def run_point(cfg: SimConfig, sweep_value: float, *, _components=None) -> PointResult:
     """Monte-Carlo loop for one sweep point; deterministic given the config.
 
-    Runs batches of ``batch_size`` frames (the last one cut at
-    ``max_frames``) through :func:`_run_batch` and sums their counts,
-    stopping after the first batch that reaches ``max_frames`` or
-    ``min_frame_errors``. The chain's memory follows the block of
-    ``_BLOCK_COLUMNS`` columns, not ``batch_size``.
+    Runs batches of ``batch_size`` frames (the last one cut at ``max_frames``)
+    through :func:`_run_batch`, adds up each record's nonzero entries (frame
+    errors) and sum (bit errors), and stops after the first batch that reaches
+    ``max_frames`` or ``min_frame_errors``. The chain's memory follows the
+    block of ``_BLOCK_COLUMNS`` columns, not ``batch_size``.
     """
     if _components is None:
         _components = build_components(cfg)
@@ -308,8 +307,8 @@ def run_point(cfg: SimConfig, sweep_value: float, *, _components=None) -> PointR
     while frames < cfg.max_frames and frame_errors < cfg.min_frame_errors:
         B = min(cfg.batch_size, cfg.max_frames - frames)
         errors = _run_batch(_components, cfg, channel_cfg, point_index, batch_index, B)
-        frame_errors += errors[0]
-        bit_errors += errors[1]
+        frame_errors += int(np.count_nonzero(errors))
+        bit_errors += int(errors.sum())
         frames += B
         batch_index += 1
 
@@ -329,6 +328,7 @@ def run_sweep(cfg: SimConfig, workers: int = 1) -> SimResult:
     points or CPUs (``os.cpu_count()``, taken as 1 when unknown); one
     worker runs them in this process.
     """
+    bitops.check_ints(workers=workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     components = build_components(cfg)

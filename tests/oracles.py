@@ -152,17 +152,16 @@ def transmit_reference(bits, cfg, rng) -> np.ndarray:
 
 
 def run_batch_reference(components, cfg, channel_cfg, point_index, batch_index, frames):
-    """(frame errors, bit errors) of one seeded batch sent through the chain
-    whole: one ``_channel_llrs`` call and one decoder call for all its frames.
-    The block-streaming ``sim._run_batch`` must give the same counts."""
+    """Per-frame information-bit error counts of one seeded batch sent through
+    the chain whole: one ``_channel_llrs`` call and one decoder call for all its
+    frames. The block-streaming ``sim._run_batch`` must give the same record."""
     _, spec, pattern, crc_poly = components
     rng = np.random.default_rng([cfg.master_seed, point_index, batch_index])
     info = rng.integers(0, 2, size=(frames, cfg.k), dtype=np.uint8)
     payload = info if crc_poly is None else crc_append(info, crc_poly)
     llr = _channel_llrs(payload, spec, pattern, channel_cfg, rng)
     u = sc_decode(llr, spec) if cfg.decoder == "sc" else scl_decode(llr, spec, cfg.list_size)
-    errs = extract_payload(u, spec)[:, : cfg.k] != info
-    return int(errs.any(axis=1).sum()), int(errs.sum())
+    return (extract_payload(u, spec)[:, : cfg.k] != info).sum(axis=1)
 
 
 def phi_inv_ln_brentq(ln_y: float) -> float:

@@ -22,7 +22,7 @@ class TestBitReverse:
             for i in range(1 << n):
                 assert bit_reverse(images[i], n) == i
 
-    @pytest.mark.parametrize("n", [-1, 33])
+    @pytest.mark.parametrize("n", [-1, 33, True, 3.0, np.int64(3), "3"])
     def test_width_out_of_range(self, n):
         with pytest.raises(ValueError, match="width"):
             bit_reverse(0, n)

@@ -1,12 +1,49 @@
-"""The helper that the CI workflow runs its memory-bounded steps under."""
+"""The CI workflow's ``polar-punct`` command lines, and the helper that its
+memory-bounded steps run under."""
 
+import argparse
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PEAK_RSS = Path(__file__).resolve().parents[1] / ".github" / "peak_rss.py"
+from polarpunct.cli import build_parser
+
+GITHUB = Path(__file__).resolve().parents[1] / ".github"
+PEAK_RSS = GITHUB / "peak_rss.py"
+
+
+def _workflow_commands() -> list[str]:
+    """The argument text of every ``polar-punct`` command in the workflow's
+    shell lines: continued lines joined, comment lines skipped, each command
+    cut at ``;``. The file is read as plain text, so no YAML parser is needed."""
+    text = re.sub(r"\\\n\s*", " ", (GITHUB / "workflows" / "tests.yml").read_text())
+    lines = (line for line in text.splitlines() if not line.lstrip().startswith("#"))
+    matches = (re.search(r"(?:^|[\s/])polar-punct(\s.*|$)", line) for line in lines)
+    return [m.group(1).split(";")[0].strip() for m in matches if m]
+
+
+WORKFLOW_COMMANDS = _workflow_commands()
+
+
+def test_workflow_runs_every_subcommand():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert len(WORKFLOW_COMMANDS) >= 15
+    assert {shlex.split(cmd)[0] for cmd in WORKFLOW_COMMANDS} == {"--version", *sub.choices}
+
+
+@pytest.mark.parametrize("command", WORKFLOW_COMMANDS)
+def test_workflow_command_parses(command):
+    argv = shlex.split(command)
+    if argv == ["--version"]:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 0
+    else:
+        build_parser().parse_args(argv)  # argparse exits 2 on an unknown or malformed flag
 
 
 def _peak_rss(*argv: str) -> subprocess.CompletedProcess:

@@ -503,6 +503,12 @@ class TestSclDecode:
         with pytest.raises(ValueError):
             scl_decode(np.zeros(8), spec, 0)
 
+    @pytest.mark.parametrize("list_size", [2.5, "2", True])
+    def test_list_size_must_be_an_int(self, list_size):
+        spec = select_information_set(ga_reliability(3, 0.0), 4)
+        with pytest.raises(ValueError, match=f"list_size must be an integer, got {list_size!r}"):
+            scl_decode(np.zeros(8), spec, list_size)
+
     def test_deterministic(self):
         spec = select_information_set(ga_reliability(6, 0.5), 40, crc_bits=8)
         rng = np.random.default_rng(19)

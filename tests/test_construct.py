@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -354,6 +355,15 @@ class TestSelectInformationSet:
         with pytest.raises(ValueError):
             select_information_set(prof, 9)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"count": 4.0}, "count"),
+        ({"count": np.int64(4)}, "count"),
+        ({"count": 12, "crc_bits": 8.0}, "crc_bits")])
+    def test_counts_must_be_ints(self, kwargs, name):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, "
+                                                       f"got {kwargs[name]!r}")):
+            select_information_set(bec_bhattacharyya(4, 0.5), **kwargs)
+
     def test_degenerate_ties_keep_info_set_upward_closed(self):
         # erasure probability 0 makes every metric equal; the selection must
         # still never freeze a channel that covers a selected one
@@ -412,6 +422,8 @@ class TestSpecValidation:
         ((1.5, 3), 2, "must be an integer"),
         ((2, 3), 3, "k [+] crc_bits"),
         ((), -1, "k must be >= 0, got -1"),
+        ((2, 3), 2.0, "k must be an integer, got 2.0"),
+        ((2, 3), True, "k must be an integer, got True"),
     ])
     def test_rejected(self, info, k, message):
         with pytest.raises(ValueError, match=message):
@@ -424,6 +436,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=r"crc_bits must be one of \(0, 8, 16\)"):
             PolarCodeSpec(n=3, k=2, crc_bits=crc_bits, info_set=info, construction="x")
 
+    @pytest.mark.parametrize("crc_bits", [8.0, np.int64(0), True])
+    def test_crc_bits_must_be_an_int(self, crc_bits):
+        with pytest.raises(ValueError, match=re.escape(f"crc_bits must be an integer, "
+                                                       f"got {crc_bits!r}")):
+            PolarCodeSpec(n=3, k=2, crc_bits=crc_bits, info_set=(6, 7), construction="x")
+
 
 class TestCodeWidthLimit:
     @pytest.mark.parametrize("build", [lambda n: bec_bhattacharyya(n, 0.5),
@@ -432,6 +450,15 @@ class TestCodeWidthLimit:
     @pytest.mark.parametrize("n", [-1, MAX_CODE_WIDTH + 1, 40])
     def test_rejected_before_allocating(self, build, n):
         with pytest.raises(ValueError, match=rf"n must be in \[0, {MAX_CODE_WIDTH}\], got {n}"):
+            build(n)
+
+    @pytest.mark.parametrize("build, n", [(lambda n: bec_bhattacharyya(n, 0.5), 3.0),
+                                          (lambda n: ga_reliability(n, 0.0), 3.0),
+                                          (pw_reliability, 3.0),
+                                          (lambda n: bec_bhattacharyya(n, 0.5), True)],
+                             ids=["bec-float", "ga-float", "pw-float", "bec-bool"])
+    def test_width_must_be_an_int(self, build, n):
+        with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
             build(n)
 
     def test_pw_at_the_limit_builds(self):

@@ -316,8 +316,9 @@ class TestRunBatch:
                        channel="bec", construction="bec:0.5", sweep=(0.5,), max_frames=90,
                        min_frame_errors=5, batch_size=29), 64, 2)
     def test_blocks_equal_the_whole_batch(self, cfg, columns, batch_index):
-        """Any block size gives the counts of the whole batch sent at once,
-        and ``run_point`` the counts it gives at the default block size."""
+        """Any block size gives, frame by frame, the per-frame record of the
+        whole batch sent at once, and ``run_point`` the counts it gives at the
+        default block size."""
         components = build_components(cfg)
         channel_cfg = cfg.channel_config(cfg.sweep[0])
         frames = cfg.batch_size
@@ -327,7 +328,8 @@ class TestRunBatch:
             mp.setattr(sim, "_BLOCK_COLUMNS", columns)
             blocked = sim._run_batch(components, cfg, channel_cfg, 0, batch_index, frames)
             assert run_point(cfg, cfg.sweep[0], _components=components) == default
-        assert blocked == expected
+        assert blocked.dtype == np.intp and blocked.shape == (frames,)
+        np.testing.assert_array_equal(blocked, expected)
 
 
 def _paper_point(frames: int, **kw) -> SimConfig:
@@ -506,6 +508,12 @@ class TestRunSweep:
     def test_workers_below_one_rejected(self, monkeypatch, workers):
         monkeypatch.setattr(sim, "build_components", lambda cfg: pytest.fail("built"))
         with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_sweep(tiny_cfg(), workers=workers)
+
+    @pytest.mark.parametrize("workers", [2.5, "2", True])
+    def test_workers_must_be_an_int(self, monkeypatch, workers):
+        monkeypatch.setattr(sim, "build_components", lambda cfg: pytest.fail("built"))
+        with pytest.raises(ValueError, match=f"workers must be an integer, got {workers!r}"):
             run_sweep(tiny_cfg(), workers=workers)
 
     def test_fer_decreases_with_snr(self):
