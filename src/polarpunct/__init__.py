@@ -10,12 +10,8 @@ from ._version import __version__
 from .bitops import bit_reverse, covers
 from .channel import AWGN, BEC, ChannelConfig, depuncture_rx, puncture_tx, transmit
 from .codec import (
-    CRC8_0X9B,
-    CRC16_0X8005,
-    CrcPoly,
     crc_append,
     crc_check,
-    crc_for_width,
     encode,
     extract_payload,
     place_payload,
@@ -54,7 +50,7 @@ __all__ = [
     "bec_bhattacharyya", "ga_reliability", "pw_reliability", "select_information_set",
     "PuncturePattern", "PatternReport", "PatternComparison", "UnsupportedConfiguration",
     "qup_pattern", "wqp_pattern", "custom_pattern", "analyze_pattern", "compare_patterns",
-    "CrcPoly", "CRC8_0X9B", "CRC16_0X8005", "crc_append", "crc_check", "crc_for_width",
+    "crc_append", "crc_check",
     "encode", "place_payload", "extract_payload",
     "sc_decode", "scl_decode",
     "ChannelConfig", "AWGN", "BEC", "puncture_tx", "transmit", "depuncture_rx",

@@ -14,9 +14,10 @@ Conventions (fixed so results are bit-exact reproducible):
   payload occupies the information set in ascending index order.
   ``crc_remainder``, ``crc_append`` and ``crc_check`` work over the last
   axis, so one call serves a message or a batch of any shape; all three
-  multiply by one cached GF(2) remainder matrix per message length, in
-  float64 so that the product goes through BLAS; it is exact, as every sum
-  is an integer below 2**53.
+  multiply by one cached GF(2) remainder matrix per message length and
+  width, in float64 so that the product goes through BLAS; it is exact, as
+  every sum is an integer below 2**53. A width is a key of
+  :data:`polarpunct.construct.CRC_POLYNOMIALS`.
 * The check-node combine is the exact log-domain boxplus. The spec alone
   describes the code: SCL selects by the CRC that ``spec.crc_bits`` names.
 * SCL path metrics are exact: a path extension by decision u on decision
@@ -52,13 +53,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .bitops import bit_reversal_permutation, check_ints
-from .construct import PolarCodeSpec
+from .construct import CRC_POLYNOMIALS, PolarCodeSpec
 
 LLR_SATURATION = 40.0
 
@@ -68,64 +68,45 @@ _BLOCK = 2**14
 
 # --------------------------------------------------------------------------- CRC
 
-@dataclass(frozen=True)
-class CrcPoly:
-    """CRC generator polynomial; ``poly`` holds the coefficients below x**width."""
-
-    width: int
-    poly: int
-
-
-CRC8_0X9B = CrcPoly(8, 0x9B)
-CRC16_0X8005 = CrcPoly(16, 0x8005)
-
-_CRC_BY_WIDTH = {8: CRC8_0X9B, 16: CRC16_0X8005}
-
-
-def crc_for_width(width: int) -> CrcPoly:
-    try:
-        return _CRC_BY_WIDTH[width]
-    except KeyError:
-        raise ValueError(f"no CRC polynomial registered for width {width}") from None
-
-
 @lru_cache(maxsize=32)
-def _crc_matrix(length: int, poly: CrcPoly) -> np.ndarray:
+def _crc_matrix(length: int, width: int) -> np.ndarray:
     """Row i: x**(length - 1 - i + width) mod g, MSB first, in float64; read-only, as cached.
 
     Register recurrence: the last row is x**width mod g, each row above it
     the row below shifted once and reduced by g.
     """
-    top = 1 << (poly.width - 1)
-    reg = poly.poly
+    if width not in CRC_POLYNOMIALS:
+        raise ValueError(f"no CRC polynomial registered for width {width}")
+    poly = CRC_POLYNOMIALS[width]
+    top = 1 << (width - 1)
+    reg = poly
     rows = np.empty(length, dtype=np.int64)
     for i in range(length - 1, -1, -1):
         rows[i] = reg
-        reg = ((reg << 1) ^ (poly.poly if reg & top else 0)) & (2 * top - 1)
-    m = ((rows[:, None] >> np.arange(poly.width - 1, -1, -1)) & 1).astype(np.float64)
+        reg = ((reg << 1) ^ (poly if reg & top else 0)) & (2 * top - 1)
+    m = ((rows[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.float64)
     m.setflags(write=False)
     return m
 
 
-def crc_remainder(bits, poly: CrcPoly) -> np.ndarray:
+def crc_remainder(bits, width: int) -> np.ndarray:
     """Remainder of polynomial long division over the last axis, MSB first, init 0."""
-    if not isinstance(poly, CrcPoly):
-        raise ValueError(f"unknown polynomial id {poly!r}")
+    check_ints(width=width)  # before the cache, whose keys 8.0 and True would match 8 and 1
     bits = np.asarray(bits).astype(np.uint8)
-    return (bits @ _crc_matrix(bits.shape[-1], poly) % 2).astype(np.uint8)
+    return (bits @ _crc_matrix(bits.shape[-1], width) % 2).astype(np.uint8)
 
 
-def crc_append(bits, poly: CrcPoly) -> np.ndarray:
+def crc_append(bits, width: int) -> np.ndarray:
     """Append the CRC remainder over the last axis; ``crc_check`` passes on the result."""
     bits = np.asarray(bits).astype(np.uint8)
     if bits.ndim == 0 or bits.shape[-1] < 1:
         raise ValueError("need at least one information bit")
-    return np.concatenate([bits, crc_remainder(bits, poly)], axis=-1)
+    return np.concatenate([bits, crc_remainder(bits, width)], axis=-1)
 
 
-def crc_check(bits, poly: CrcPoly):
+def crc_check(bits, width: int):
     """True where the last axis ends in the CRC of the rest: a bool, or one per batch entry."""
-    ok = ~crc_remainder(bits, poly).any(axis=-1)
+    ok = ~crc_remainder(bits, width).any(axis=-1)
     return ok if np.ndim(ok) else bool(ok)
 
 
@@ -366,7 +347,6 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int) -> np.ndarray:
     check_ints(list_size=list_size)
     if list_size < 1:
         raise ValueError(f"list size must be >= 1, got {list_size}")
-    crc = crc_for_width(spec.crc_bits) if spec.crc_bits else None
     v, rows, batch_shape = _coded_rows(llr, spec)
     B, L = v.shape[1], list_size
     frozen = spec.frozen_mask
@@ -414,7 +394,7 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int) -> np.ndarray:
     x = rec(v[..., None], rows, 0)[0]
     # A code without an information leaf keeps one path, and its path 0 has the best metric.
     u = _butterfly(x)
-    ok = (crc_check(u[spec.info_positions].transpose(1, 2, 0), crc) if crc is not None
+    ok = (crc_check(u[spec.info_positions].transpose(1, 2, 0), spec.crc_bits) if spec.crc_bits
           else np.ones(pm.shape, dtype=bool))
     # CRC-valid paths first, then the lowest metric; the stable sort ties to the lower path.
     best = np.lexsort((pm, ~ok))[:, 0]

@@ -30,8 +30,9 @@ GA = "ga"
 PW = "pw"
 
 DEFAULT_PW_BETA = 2.0 ** 0.25
-# CRC widths a code spec may carry (0: none); codec has a polynomial for each other one.
-CRC_WIDTHS = (0, 8, 16)
+# CRC generator polynomials by width (coefficients below x**width); a spec may also carry none.
+CRC_POLYNOMIALS = {8: 0x9B, 16: 0x8005}
+CRC_WIDTHS = (0, *CRC_POLYNOMIALS)
 # Largest code width n for a profile or a simulation, which hold arrays of 2**n entries.
 MAX_CODE_WIDTH = 20
 
@@ -127,6 +128,8 @@ class PolarCodeSpec:
         info = check_index(self.info_set, self.n)
         if info.ndim != 1 or (info[1:] <= info[:-1]).any():
             raise ValueError("information set must be a strictly ascending sequence")
+        # Python ints, so numpy integer entries compare, hash and write to JSON as ints.
+        object.__setattr__(self, "info_set", tuple(info.tolist()))
         # So a code without an information bit carries no CRC bits either.
         if self.k < 0:
             raise ValueError(f"k must be >= 0, got {self.k}")

@@ -159,9 +159,10 @@ def wqp_pattern(spec: PolarCodeSpec, profile: ReliabilityProfile, q: int) -> Pun
     q = _puncture_count(q)
     if q <= 0:
         raise ValueError(f"puncture count must be positive, got {q}")
-    if q > len(spec.frozen_set):
+    frozen = spec.size - len(spec.info_set)
+    if q > frozen:
         raise UnsupportedConfiguration(
-            f"q={q} exceeds the frozen-set size {len(spec.frozen_set)}; "
+            f"q={q} exceeds the frozen-set size {frozen}; "
             "puncturing beyond N - (k + crc_bits) is not supported")
     order = profile.worst_first()
     return _pattern_from_source(order[spec.frozen_mask[order]][:q].tolist(), spec.n, WQP)

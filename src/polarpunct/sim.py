@@ -233,14 +233,13 @@ class SimResult:
 
 
 def build_components(cfg: SimConfig):
-    """Profile, code spec, pattern (empty without puncturing) and CRC polynomial of a config."""
+    """Profile, spec, pattern (empty without puncturing) and CRC width (0: none) of a config."""
     profile = construct.build_profile(cfg.construction, cfg.n, cfg.design_snr_db())
     spec = construct.select_information_set(profile, cfg.k + cfg.crc_bits, crc_bits=cfg.crc_bits)
     pattern = (puncture.custom_pattern((), cfg.n) if cfg.puncturing == "none" else
                puncture.make_pattern(cfg.puncturing, cfg.n, cfg.q, spec, profile,
                                      cfg.custom_coded))
-    crc_poly = codec.crc_for_width(cfg.crc_bits) if cfg.crc_bits else None
-    return profile, spec, pattern, crc_poly
+    return profile, spec, pattern, cfg.crc_bits
 
 
 def _channel_llrs(payload, spec, pattern, channel_cfg: chan.ChannelConfig, rng) -> np.ndarray:
@@ -265,14 +264,14 @@ def _run_batch(components, cfg: SimConfig, channel_cfg: chan.ChannelConfig,
     count, then runs on blocks of ``max(1, _BLOCK_COLUMNS // paths)`` frames
     (``paths``: the list size for SCL, 1 for SC), each writing its slice.
     """
-    _, spec, pattern, crc_poly = components
+    _, spec, pattern, crc = components
     if cfg.decoder == "sc":
         decode, paths = codec.sc_decode, 1
     else:
         decode, paths = partial(codec.scl_decode, list_size=cfg.list_size), cfg.list_size
     rng = default_rng([cfg.master_seed, point_index, batch_index])
     info = rng.integers(0, 2, size=(frames, cfg.k), dtype=np.uint8)
-    payload = info if crc_poly is None else codec.crc_append(info, crc_poly)
+    payload = codec.crc_append(info, crc) if crc else info
     step = max(1, _BLOCK_COLUMNS // paths)
     errors = np.empty(frames, dtype=np.intp)
     for lo in range(0, frames, step):

@@ -25,7 +25,7 @@ from polarpunct.codec import (
     sc_decode,
     scl_decode,
 )
-from polarpunct.construct import _ln_phi
+from polarpunct.construct import CRC_POLYNOMIALS, _ln_phi
 from polarpunct.sim import _channel_llrs
 
 
@@ -155,10 +155,10 @@ def run_batch_reference(components, cfg, channel_cfg, point_index, batch_index, 
     """Per-frame information-bit error counts of one seeded batch sent through
     the chain whole: one ``_channel_llrs`` call and one decoder call for all its
     frames. The block-streaming ``sim._run_batch`` must give the same record."""
-    _, spec, pattern, crc_poly = components
+    _, spec, pattern, crc = components
     rng = np.random.default_rng([cfg.master_seed, point_index, batch_index])
     info = rng.integers(0, 2, size=(frames, cfg.k), dtype=np.uint8)
-    payload = info if crc_poly is None else crc_append(info, crc_poly)
+    payload = crc_append(info, crc) if crc else info
     llr = _channel_llrs(payload, spec, pattern, channel_cfg, rng)
     u = sc_decode(llr, spec) if cfg.decoder == "sc" else scl_decode(llr, spec, cfg.list_size)
     return (extract_payload(u, spec)[:, : cfg.k] != info).sum(axis=1)
@@ -220,14 +220,15 @@ def sequential_bit_map_oracle(llr, n: int) -> np.ndarray:
     return decided
 
 
-def ml_codeword_oracle(llr, spec, crc=None) -> np.ndarray:
-    """Exhaustive maximum likelihood over every (CRC-valid) payload."""
+def ml_codeword_oracle(llr, spec, crc=0) -> np.ndarray:
+    """Exhaustive maximum likelihood over every payload, CRC-valid for width
+    ``crc`` when it is not 0."""
     G = generator_matrix(spec.n)
     p0, p1 = symbol_probs_from_llr(np.asarray(llr, dtype=float))
     best_like, best_u = -1.0, None
     for msg in itertools.product([0, 1], repeat=spec.k):
         payload = np.array(msg, dtype=np.uint8)
-        if crc is not None:
+        if crc:
             payload = crc_append(payload, crc)
         u = place_payload(payload, spec)
         x = u @ G % 2
@@ -353,7 +354,7 @@ class _EagerListState:
         self.u = self.u[self._bidx, src]
 
 
-def scl_eager_reference(llr, spec, L, crc=None) -> np.ndarray:
+def scl_eager_reference(llr, spec, L, crc=0) -> np.ndarray:
     """CRC-aided SCL with eager path copies: every buffer is gathered at
     every information leaf and the decisions ``u`` are carried per path.
 
@@ -372,11 +373,11 @@ def scl_eager_reference(llr, spec, L, crc=None) -> np.ndarray:
     state.run()
     order = np.argsort(state.pm, axis=1, kind="stable")
     best = order[:, 0].copy()
-    if crc is not None:
+    if crc:
         info = sorted(spec.info_set)
         for b in range(B):
             for j in order[b]:
-                if not any(crc_remainder_intdiv(state.u[b, j, info], crc.width, crc.poly)):
+                if not any(crc_remainder_intdiv(state.u[b, j, info], crc, CRC_POLYNOMIALS[crc])):
                     best[b] = j
                     break
     return state.u[np.arange(B), best].reshape(batch_shape + (N,))

@@ -21,8 +21,6 @@ from oracles import (
 
 from polarpunct.bitops import covers
 from polarpunct.codec import (
-    CRC8_0X9B,
-    CRC16_0X8005,
     crc_append,
     crc_remainder,
     encode,
@@ -31,6 +29,7 @@ from polarpunct.codec import (
     scl_decode,
 )
 from polarpunct.construct import (
+    CRC_POLYNOMIALS,
     PolarCodeSpec,
     bec_bhattacharyya,
     ga_reliability,
@@ -289,18 +288,18 @@ def test_09_codec_oracles():
     # full-list SCL with CRC equals CRC-filtered exhaustive maximum likelihood
     spec16 = select_information_set(ga_reliability(4, 0.0), 12, crc_bits=8)
     for _ in range(8):
-        payload = crc_append(rng.integers(0, 2, 4, dtype=np.uint8), CRC8_0X9B)
+        payload = crc_append(rng.integers(0, 2, 4, dtype=np.uint8), 8)
         x = encode(place_payload(payload, spec16))
         llr = (1.0 - 2.0 * x) + rng.normal(0, 1.6, 16)
         assert np.array_equal(scl_decode(llr, spec16, 1 << 12),
-                              ml_codeword_oracle(llr, spec16, crc=CRC8_0X9B))
+                              ml_codeword_oracle(llr, spec16, crc=8))
 
     # CRC long division, 500 random messages per polynomial
-    for poly in (CRC8_0X9B, CRC16_0X8005):
+    for poly in (8, 16):
         for _ in range(500):
             bits = rng.integers(0, 2, int(rng.integers(1, 80)), dtype=np.uint8)
             assert crc_remainder(bits, poly).tolist() == \
-                crc_remainder_intdiv(bits, poly.width, poly.poly)
+                crc_remainder_intdiv(bits, poly, CRC_POLYNOMIALS[poly])
 
 
 # --------------------------------------------------------------------- 10

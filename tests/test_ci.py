@@ -16,17 +16,17 @@ GITHUB = Path(__file__).resolve().parents[1] / ".github"
 PEAK_RSS = GITHUB / "peak_rss.py"
 
 
-def _workflow_commands() -> list[str]:
-    """The argument text of every ``polar-punct`` command in the workflow's
-    shell lines: continued lines joined, comment lines skipped, each command
-    cut at ``;``. The file is read as plain text, so no YAML parser is needed."""
-    text = re.sub(r"\\\n\s*", " ", (GITHUB / "workflows" / "tests.yml").read_text())
+def _workflow_commands(path: Path) -> list[str]:
+    """The argument text of every ``polar-punct`` command in the shell lines of
+    ``path``: continued lines joined, comment lines skipped, each command cut
+    at ``;``. The file is read as plain text, so no YAML parser is needed."""
+    text = re.sub(r"\\\n\s*", " ", path.read_text())
     lines = (line for line in text.splitlines() if not line.lstrip().startswith("#"))
     matches = (re.search(r"(?:^|[\s/])polar-punct(\s.*|$)", line) for line in lines)
     return [m.group(1).split(";")[0].strip() for m in matches if m]
 
 
-WORKFLOW_COMMANDS = _workflow_commands()
+WORKFLOW_COMMANDS = _workflow_commands(GITHUB / "workflows" / "tests.yml")
 
 
 def test_workflow_runs_every_subcommand():

@@ -15,8 +15,6 @@ from hypothesis.extra import numpy as hnp
 from polarpunct import codec
 from polarpunct.bitops import bit_reversal_permutation, bit_reverse
 from polarpunct.codec import (
-    CRC8_0X9B,
-    CRC16_0X8005,
     _BLOCK,
     _boxplus,
     _g,
@@ -24,7 +22,6 @@ from polarpunct.codec import (
     _step,
     crc_append,
     crc_check,
-    crc_for_width,
     crc_remainder,
     encode,
     extract_payload,
@@ -33,6 +30,7 @@ from polarpunct.codec import (
     scl_decode,
 )
 from polarpunct.construct import (
+    CRC_POLYNOMIALS,
     CRC_WIDTHS,
     PolarCodeSpec,
     bec_bhattacharyya,
@@ -171,33 +169,37 @@ class TestPayloadPlacement:
 
 # ------------------------------------------------------------------ CRC
 
+# Each registered CRC width; the ids poly0 and poly1 follow the table's order.
+_EACH_WIDTH = pytest.mark.parametrize("poly", [8, 16], ids=["poly0", "poly1"])
+
+
 class TestCrc:
-    @pytest.mark.parametrize("poly", [CRC8_0X9B, CRC16_0X8005])
+    @_EACH_WIDTH
     def test_matches_long_division_oracle(self, poly):
         rng = np.random.default_rng(5)
         for _ in range(500):
             length = int(rng.integers(1, 96))
             bits = rng.integers(0, 2, length, dtype=np.uint8)
             assert crc_remainder(bits, poly).tolist() == \
-                crc_remainder_intdiv(bits, poly.width, poly.poly)
+                crc_remainder_intdiv(bits, poly, CRC_POLYNOMIALS[poly])
 
-    @pytest.mark.parametrize("poly", [CRC8_0X9B, CRC16_0X8005])
+    @_EACH_WIDTH
     def test_single_bit_messages(self, poly):
         for bit in (0, 1):
             assert crc_remainder([bit], poly).tolist() == \
-                crc_remainder_intdiv([bit], poly.width, poly.poly)
+                crc_remainder_intdiv([bit], poly, CRC_POLYNOMIALS[poly])
 
     def test_zero_message_zero_crc(self):
-        assert not crc_remainder(np.zeros(40, dtype=np.uint8), CRC8_0X9B).any()
+        assert not crc_remainder(np.zeros(40, dtype=np.uint8), 8).any()
 
-    @pytest.mark.parametrize("poly", [CRC8_0X9B, CRC16_0X8005])
+    @_EACH_WIDTH
     def test_append_then_check(self, poly):
         rng = np.random.default_rng(6)
         for _ in range(100):
             bits = rng.integers(0, 2, int(rng.integers(1, 60)), dtype=np.uint8)
             assert crc_check(crc_append(bits, poly), poly)
 
-    @pytest.mark.parametrize("poly", [CRC8_0X9B, CRC16_0X8005])
+    @_EACH_WIDTH
     def test_detects_every_single_bit_flip(self, poly):
         rng = np.random.default_rng(7)
         msg = crc_append(rng.integers(0, 2, 24, dtype=np.uint8), poly)
@@ -209,16 +211,22 @@ class TestCrc:
     def test_batch_check_matches_scalar(self):
         rng = np.random.default_rng(8)
         frames = rng.integers(0, 2, (64, 30), dtype=np.uint8)
-        got = crc_check(frames, CRC8_0X9B)
-        want = np.array([crc_check(f, CRC8_0X9B) for f in frames])
+        got = crc_check(frames, 8)
+        want = np.array([crc_check(f, 8) for f in frames])
         assert np.array_equal(got, want)
 
-    def test_width_lookup(self):
-        assert crc_for_width(8) is CRC8_0X9B
-        assert crc_for_width(16) is CRC16_0X8005
-        assert [crc_for_width(w).width for w in CRC_WIDTHS if w] == [8, 16]
-        with pytest.raises(ValueError):
-            crc_for_width(12)
+    def test_polynomial_table(self):
+        # The one table of polynomials, and the widths a spec may carry, derived from it.
+        assert CRC_POLYNOMIALS == {8: 0x9B, 16: 0x8005}
+        assert CRC_WIDTHS == (0, 8, 16)
+        for width in (12, 4):
+            with pytest.raises(ValueError,
+                               match=f"^no CRC polynomial registered for width {width}$"):
+                crc_remainder([1, 0, 1], width)
+        # 8.0 == 8 and True == 1 as dict and cache keys, so the type is checked first.
+        for width in (8.0, True):
+            with pytest.raises(ValueError, match=f"width must be an integer, got {width!r}"):
+                crc_remainder([1, 0, 1], width)
 
     def test_unknown_poly_rejected(self):
         with pytest.raises(ValueError):
@@ -227,23 +235,23 @@ class TestCrc:
 
 class TestCrcProperties:
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
-    @given(st.sampled_from([CRC8_0X9B, CRC16_0X8005]),
+    @given(st.sampled_from([8, 16]),
            st.lists(st.integers(1, 4), min_size=1, max_size=2), st.integers(1, 40), st.data())
     def test_batched_append_check_and_remainder(self, poly, batch, k, data):
         # (B, k) and (B, L, k) batches: every message passes after crc_append,
         # fails with one bit flipped, and has the long-division remainder.
         bits = data.draw(hnp.arrays(np.uint8, (*batch, k), elements=st.integers(0, 1)))
         coded = crc_append(bits, poly)
-        assert coded.shape == (*batch, k + poly.width)
+        assert coded.shape == (*batch, k + poly)
         assert np.array_equal(coded[..., :k], bits)
         ok = crc_check(coded, poly)
         assert ok.shape == tuple(batch) and ok.all()
-        flip = data.draw(st.integers(0, k + poly.width - 1))
+        flip = data.draw(st.integers(0, k + poly - 1))
         coded[..., flip] ^= 1
         assert not crc_check(coded, poly).any()
-        rows = crc_remainder(bits, poly).reshape(-1, poly.width)
+        rows = crc_remainder(bits, poly).reshape(-1, poly)
         for row, msg in zip(rows, bits.reshape(-1, k)):
-            assert row.tolist() == crc_remainder_intdiv(msg, poly.width, poly.poly)
+            assert row.tolist() == crc_remainder_intdiv(msg, poly, CRC_POLYNOMIALS[poly])
 
 
 # ------------------------------------------------------------------ node kernels
@@ -477,11 +485,10 @@ class TestSclDecode:
             assert np.array_equal(got, want)
 
     def test_full_list_with_crc_equals_crc_filtered_ml(self):
-        n, k, crc = 4, 4, CRC8_0X9B
-        spec = select_information_set(ga_reliability(n, 0.0), k + crc.width,
-                                      crc_bits=crc.width)
+        n, k, crc = 4, 4, 8
+        spec = select_information_set(ga_reliability(n, 0.0), k + crc, crc_bits=crc)
         rng = np.random.default_rng(18)
-        L = 1 << (k + crc.width)
+        L = 1 << (k + crc)
         for _ in range(12):
             payload = crc_append(rng.integers(0, 2, k, dtype=np.uint8), crc)
             x = encode(place_payload(payload, spec))
@@ -496,7 +503,7 @@ class TestSclDecode:
             PolarCodeSpec(n=4, k=4, crc_bits=4, info_set=tuple(range(8, 16)),
                           construction="fixed")
         with pytest.raises(ValueError, match="width 4"):
-            crc_for_width(4)
+            crc_remainder([1, 0, 1], 4)
 
     def test_list_size_validated(self):
         spec = select_information_set(ga_reliability(3, 0.0), 4)
@@ -524,17 +531,16 @@ class TestSclDecode:
         rng = np.random.default_rng(21)
         for n in range(1, 8):
             N = 1 << n
-            for crc in (None, CRC8_0X9B):
-                width = 0 if crc is None else crc.width
+            for crc in (0, 8):
                 for L in (2, 3, 5, 8):
-                    count = max(N // 2, width + 1, L.bit_length())
+                    count = max(N // 2, crc + 1, L.bit_length())
                     if count > N:
                         continue
                     assert L < 1 << count
                     spec = select_information_set(ga_reliability(n, 0.0), count,
-                                                  crc_bits=width)
-                    payload = rng.integers(0, 2, (12, count - width), dtype=np.uint8)
-                    if crc is not None:
+                                                  crc_bits=crc)
+                    payload = rng.integers(0, 2, (12, count - crc), dtype=np.uint8)
+                    if crc:
                         payload = np.stack([crc_append(p, crc) for p in payload])
                     x = encode(place_payload(payload, spec))
                     noisy = (1.0 - 2.0 * x) * 1.5 + rng.normal(0, 1.5, x.shape)
@@ -550,9 +556,8 @@ class TestSclDecode:
         # sums of 64 * 40 * 8 elements, more than one kernel block.
         assert 64 * 40 * 8 > _BLOCK
         rng = np.random.default_rng(28)
-        crc = CRC8_0X9B
-        spec = select_information_set(ga_reliability(7, 1.0), 48 + crc.width,
-                                      crc_bits=crc.width)
+        crc = 8
+        spec = select_information_set(ga_reliability(7, 1.0), 48 + crc, crc_bits=crc)
         payload = crc_append(rng.integers(0, 2, (40, 48), dtype=np.uint8), crc)
         x = encode(place_payload(payload, spec))
         llr = (1.0 - 2.0 * x) * 1.2 + rng.normal(0.0, 1.5, x.shape)
@@ -565,7 +570,7 @@ class TestSclDecode:
         spec = select_information_set(ga_reliability(6, 1.0), 40, crc_bits=8)
         rng = np.random.default_rng(20)
         payload = np.stack([crc_append(rng.integers(0, 2, 32, dtype=np.uint8),
-                                       CRC8_0X9B) for _ in range(400)])
+                                       8) for _ in range(400)])
         u = place_payload(payload, spec)
         x = encode(u)
         llr = (1.0 - 2.0 * x) * 1.4 + rng.normal(0, 1.3, x.shape)
@@ -607,13 +612,13 @@ class TestScProperties:
 class TestSclProperties:
     # With one path the CRC has nothing to pick, so CRC specs decode as SC too.
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
-    @given(st.one_of(_code_and_llrs(), _code_and_llrs(crc_bits=CRC8_0X9B.width)))
+    @given(st.one_of(_code_and_llrs(), _code_and_llrs(crc_bits=8)))
     def test_list_one_equals_sc(self, case):
         spec, llr = case
         assert np.array_equal(scl_decode(llr, spec, 1), sc_decode(llr, spec))
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
-    @given(st.one_of(_code_and_llrs(), _code_and_llrs(crc_bits=CRC8_0X9B.width)))
+    @given(st.one_of(_code_and_llrs(), _code_and_llrs(crc_bits=8)))
     def test_batch_equals_frame_by_frame(self, case):
         spec, llr = case
         batch = scl_decode(llr, spec, 4)
@@ -623,13 +628,12 @@ class TestSclProperties:
     # Random information sets reach nodes where only one child holds an
     # information leaf, so only one side returns a path permutation.
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
-    @given(st.one_of(_code_and_llrs(), _code_and_llrs(crc_bits=CRC8_0X9B.width)),
+    @given(st.one_of(_code_and_llrs(), _code_and_llrs(crc_bits=8)),
            st.sampled_from([2, 3, 4, 8]))
     def test_matches_eager_reference(self, case, L):
         spec, llr = case
-        crc = CRC8_0X9B if spec.crc_bits else None
         assert np.array_equal(scl_decode(llr, spec, L),
-                              scl_eager_reference(llr, spec, L, crc=crc))
+                              scl_eager_reference(llr, spec, L, crc=spec.crc_bits))
 
 
 def _peak(decode, llr, spec):
@@ -694,7 +698,7 @@ class TestDecoderFrontEnd:
         assert frame_major_peak <= position_major_peak + 16 * 1024
 
     @settings(derandomize=True, max_examples=40, deadline=None, database=None)
-    @given(case=st.one_of(_code_and_llrs(), _code_and_llrs(crc_bits=CRC8_0X9B.width)),
+    @given(case=st.one_of(_code_and_llrs(), _code_and_llrs(crc_bits=8)),
            block=st.integers(1, 40))
     def test_any_block_size_gives_the_same_bits(self, decode, case, block):
         # The root gathers its halves from the coded-order input block by

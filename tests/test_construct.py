@@ -442,6 +442,13 @@ class TestSpecValidation:
                                                        f"got {crc_bits!r}")):
             PolarCodeSpec(n=3, k=2, crc_bits=crc_bits, info_set=(6, 7), construction="x")
 
+    def test_numpy_integer_info_set_is_stored_as_ints(self):
+        spec = PolarCodeSpec(n=3, k=2, crc_bits=0, info_set=(np.int64(6), np.int64(7)),
+                             construction="x")
+        assert spec == PolarCodeSpec(n=3, k=2, crc_bits=0, info_set=(6, 7), construction="x")
+        assert [type(i) for i in spec.info_set] == [int, int]
+        assert json.loads(json.dumps(spec.to_json_dict()))["I"] == [6, 7]
+
 
 class TestCodeWidthLimit:
     @pytest.mark.parametrize("build", [lambda n: bec_bhattacharyya(n, 0.5),

@@ -166,6 +166,15 @@ class TestWqpPattern:
         with pytest.raises(UnsupportedConfiguration):
             wqp_pattern(spec, prof, 5)
 
+    def test_frozen_set_not_built(self):
+        # At n = 20 and K = N/2 the frozen-set tuple alone holds 26 MB of ints.
+        prof = bec_bhattacharyya(3, 0.5)
+        spec = select_information_set(prof, 4)
+        wqp_pattern(spec, prof, 4)
+        with pytest.raises(UnsupportedConfiguration, match="frozen-set size 4;"):
+            wqp_pattern(spec, prof, 5)
+        assert "frozen_set" not in vars(spec)
+
     @pytest.mark.parametrize("q", [2.0, "2"])
     def test_non_integer_q_rejected(self, q):
         prof = bec_bhattacharyya(3, 0.5)
