@@ -9,6 +9,7 @@ indices and build no ``2**n`` table, so every admitted width is cheap.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 
 import numpy as np
@@ -29,15 +30,33 @@ def check_ints(**counts) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _is_integer_type(kind: type) -> bool:
+    return issubclass(kind, (int, np.integer)) and kind is not bool
+
+
+def integer_list(values: Iterable) -> list:
+    """``values`` as a list; ``TypeError`` names the first that is not an integer.
+
+    A bool is not one, though ``operator.index`` and numpy read it as 0 or 1. The
+    entries' types are checked, and the entries themselves only when one fails.
+    """
+    values = list(values)
+    if not all(map(_is_integer_type, set(map(type, values)))):
+        bad = next(v for v in values if not _is_integer_type(type(v)))
+        raise TypeError(f"index must be an integer, got {bad!r}")
+    return values
+
+
 def check_index(i, n: int) -> np.ndarray:
     """``i`` (an int or integer array) as int64, each entry checked against width ``n``."""
     check_width(n)
     idx = np.asarray(i)
-    if idx.dtype.kind not in "biu":
-        # Entries are read in their own types, so no float passes as a whole number.
-        for v in np.asarray(i, dtype=object).flat:
-            if not isinstance(v, (int, np.integer)):
-                raise ValueError(f"index must be an integer, got {v!r}")
+    if idx.dtype.kind not in "iu" or not isinstance(i, np.ndarray):
+        # Entries are read in their own types, so no float or bool passes as a whole number.
+        try:
+            integer_list(np.asarray(i, dtype=object).ravel())
+        except TypeError as exc:
+            raise ValueError(str(exc)) from None
     outside = (idx < 0) | (idx >= 1 << n)
     if outside.any():
         raise ValueError(f"index {idx[outside].flat[0]} out of range [0, {1 << n}) for width {n}")

@@ -49,8 +49,8 @@ def _cmd_construct(args) -> int:
     profile = cons.build_profile(args.construction, args.n)
     spec = cons.select_information_set(profile, args.k + args.crc, crc_bits=args.crc)
     payload = profile.to_json_dict()
-    payload.update({"I": list(spec.info_set), "F": list(spec.frozen_set),
-                    "k": spec.k, "crc_bits": spec.crc_bits})
+    code = spec.to_json_dict()
+    payload.update({key: code[key] for key in ("I", "F", "k", "crc_bits")})
     _write_json(payload, args.out)
     return 0
 
@@ -65,6 +65,8 @@ def _cmd_puncture(args) -> int:
     if args.scheme and args.compare:
         raise ValueError("--scheme and --compare exclude each other")
     schemes = [name.strip() for name in (args.compare or args.scheme or puncture.QUP).split(",")]
+    if args.compare and len(schemes) != 2:
+        raise ValueError(f"--compare needs exactly two schemes, got {args.compare!r}")
     if args.custom_file and puncture.CUSTOM not in schemes:
         raise ValueError(f"--custom-file needs scheme 'custom', got {', '.join(schemes)}")
     coded = _read_json(args.custom_file) if args.custom_file else None

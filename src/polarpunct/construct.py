@@ -112,9 +112,9 @@ class PolarCodeSpec:
     ``crc_bits`` is one of :data:`CRC_WIDTHS`. ``info_set`` holds the ``k + crc_bits``
     most reliable indices under the construction it was derived from, strictly
     ascending, and stays fixed once selected, in particular across puncturing.
-    Everything else is derived from it once per spec and takes no part in
-    equality or hashing: ``frozen_set``, its ascending complement (``"F"`` in
-    JSON), and the read-only arrays ``info_positions`` and ``frozen_mask``.
+    The read-only arrays ``info_positions`` and ``frozen_mask`` that the codec
+    reads are built once per spec and take no part in equality or hashing;
+    ``frozen_set``, the ascending complement (``"F"`` in JSON), is built at each read.
     """
 
     n: int
@@ -149,7 +149,7 @@ class PolarCodeSpec:
         info.setflags(write=False)
         return info
 
-    @cached_property
+    @property
     def frozen_set(self) -> tuple[int, ...]:
         """The complement of the information set, ascending."""
         return tuple(np.flatnonzero(self.frozen_mask).tolist())

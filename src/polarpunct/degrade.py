@@ -21,11 +21,10 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .bitops import bit_reverse, check_index
+from .bitops import bit_reverse, check_index, integer_list
 
 
 @dataclass(frozen=True)
@@ -33,9 +32,9 @@ class PropagationMap:
     """Source-to-destination bijection produced by the degradation process.
 
     ``sources`` lists the sources in ascending order and ``targets`` their
-    destinations, aligned pairwise. The levels in between are not stored:
-    ``levels[k][j]`` is the position of the j-th source after ``k`` levels,
-    computed by walking the levels again the first time it is read.
+    destinations, aligned pairwise. ``pairs``, ``destination_set`` and ``levels``
+    are built each time they are read; ``levels[k][j]`` is the position of the
+    j-th source after ``k`` levels, found by walking the levels again.
     """
 
     n: int
@@ -47,20 +46,20 @@ class PropagationMap:
         """Each source with its destination, by ascending source."""
         return tuple(zip(self.sources, self.targets))
 
-    @cached_property
+    @property
     def destination_set(self) -> tuple[int, ...]:
         """The destinations in ascending order."""
         return tuple(sorted(self.targets))
 
-    @cached_property
+    @property
     def levels(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(position.tolist()) for position in _walk(self.sources, self.n))
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "pairs": [{"source": s, "destination": d} for s, d in self.pairs],
-            "levels": [list(level) for level in self.levels],
+            "pairs": [{"source": s, "destination": d} for s, d in zip(self.sources, self.targets)],
+            "levels": [position.tolist() for position in _walk(self.sources, self.n)],
         }
 
 
@@ -88,8 +87,8 @@ def propagate(indices: Iterable[int], n: int) -> PropagationMap:
 
     Only the sources and their destinations are kept; see :func:`_walk`.
     """
-    sources = tuple(sorted({operator.index(i) for i in indices}))
-    check_index(sources, n)
+    sources = tuple(sorted(set(map(operator.index, integer_list(indices)))))
+    check_index(sources[:1] + sources[-1:], n)  # ascending: its two ends bound the rest
     for position in _walk(sources, n):
         pass
     return PropagationMap(n=n, sources=sources, targets=tuple(position.tolist()))

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bitops import bit_reverse
+from .bitops import bit_reverse, integer_list
 from .construct import PolarCodeSpec, ReliabilityProfile
 from .degrade import PropagationMap, propagate
 
@@ -45,9 +45,9 @@ class PuncturePattern(PropagationMap):
     """A puncture choice: the propagation map of its source set plus a scheme name.
 
     ``coded_set`` is the bit-reversed image of ``sources`` (the coded-symbol
-    positions not transmitted) and ``kept_positions`` the transmitted coded
-    positions in ascending order. Both are derived when first read and,
-    like ``destination_set``, take no part in repr, equality or hashing.
+    positions not transmitted), built each time it is read. ``kept_positions``,
+    the transmitted coded positions in ascending order, is built once, as rate
+    matching reads it per batch; it takes no part in repr, equality or hashing.
     """
 
     scheme: str
@@ -64,7 +64,7 @@ class PuncturePattern(PropagationMap):
     def transmitted(self) -> int:
         return self.size - self.q
 
-    @cached_property
+    @property
     def coded_set(self) -> tuple[int, ...]:
         return tuple(np.sort(bit_reverse(self.sources, self.n)).tolist())
 
@@ -84,7 +84,7 @@ class PuncturePattern(PropagationMap):
             "source_set": list(self.sources),
             "coded_set": list(self.coded_set),
             "destination_set": list(self.destination_set),
-            "pairs": [{"source": s, "destination": d} for s, d in self.pairs],
+            "pairs": [{"source": s, "destination": d} for s, d in zip(self.sources, self.targets)],
         }
 
 
@@ -129,7 +129,7 @@ def _pattern_from_source(source: Iterable[int], n: int, scheme: str) -> Puncture
 
 def _puncture_count(q) -> int:
     try:
-        return operator.index(q)
+        return operator.index(*integer_list((q,)))
     except TypeError:
         raise ValueError(f"puncture count q must be an integer, got {q!r}") from None
 
@@ -176,7 +176,7 @@ def custom_pattern(coded_positions: Iterable[int], n: int) -> PuncturePattern:
     a flat sequence of integers raises ``ValueError`` naming it.
     """
     try:
-        positions = sorted(set(map(operator.index, coded_positions)))
+        positions = sorted(set(map(operator.index, integer_list(coded_positions))))
     except TypeError:
         raise ValueError("custom coded positions must be a flat sequence of integers, "
                          f"got {coded_positions!r}") from None
@@ -201,7 +201,7 @@ def make_pattern(scheme: str, n: int, q: int, spec: PolarCodeSpec | None = None,
         if coded_positions is None:
             raise ValueError("custom scheme needs coded positions")
         pattern = custom_pattern(coded_positions, n)
-        if pattern.q != q:
+        if pattern.q != _puncture_count(q):
             raise ValueError(f"q={q} differs from the {pattern.q} distinct custom coded positions")
         return pattern
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")

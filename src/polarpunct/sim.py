@@ -173,14 +173,21 @@ class SimConfig:
         positions then give."""
         if type(d) is not dict:
             raise ValueError(f"a config must be a JSON object, got {d!r}")
-        d = {**d, **overrides}
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
-        if missing:
-            raise ValueError(f"missing required config fields: {missing}")
-        return cls(**d)
+        return cls(**_checked_fields(cls, {**d, **overrides}, "config"))
+
+
+def _checked_fields(cls, d, what: str) -> dict:
+    """``d`` if it is a JSON object that holds every field of the dataclass ``cls``
+    without a default and no key that is not a field; else ``ValueError`` naming the fault."""
+    if type(d) is not dict:
+        raise ValueError(f"a {what} must be a JSON object, got {d!r}")
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+    if missing:
+        raise ValueError(f"missing required {what} fields: {missing}")
+    return d
 
 
 # Per SimConfig field type: what it is, its types and a test of each item of a tuple or list.
@@ -211,7 +218,7 @@ class PointResult:
 class SimResult:
     config: SimConfig
     points: tuple[PointResult, ...]
-    pattern: dict | None
+    pattern: dict | None = None
     version: str = __version__
 
     def to_json_dict(self) -> dict:
@@ -224,12 +231,12 @@ class SimResult:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SimResult":
-        return cls(
-            config=SimConfig.from_json_dict(d["config"]),
-            points=tuple(PointResult(**p) for p in d["points"]),
-            pattern=d.get("pattern"),
-            version=d.get("version", __version__),
-        )
+        """The result of its JSON fields. A ``d`` or a point that is no JSON object,
+        or has an unknown or a missing required field, raises ``ValueError`` naming it."""
+        d = _checked_fields(cls, d, "result")
+        return cls(**{**d, "config": SimConfig.from_json_dict(d["config"]),
+                      "points": tuple(PointResult(**_checked_fields(PointResult, p, "point"))
+                                      for p in d["points"])})
 
 
 def build_components(cfg: SimConfig):

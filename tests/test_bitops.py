@@ -65,6 +65,13 @@ class TestBitReverse:
         with pytest.raises(ValueError, match="integer"):
             bit_reverse(bad, 3)
 
+    @pytest.mark.parametrize("bad", [True, np.True_, [True, 2], [2, np.False_],
+                                     np.array([True, False]), [[2], [True]]])
+    def test_bool_rejected(self, bad):
+        # Not read as the index 1 or 0.
+        with pytest.raises(ValueError, match="index must be an integer, got"):
+            bit_reverse(bad, 3)
+
     @pytest.mark.parametrize("bad", [[8], [-1], np.array([0, 9], dtype=np.uint8)])
     def test_array_index_out_of_width(self, bad):
         with pytest.raises(ValueError, match="out of range"):

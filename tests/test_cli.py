@@ -210,6 +210,16 @@ class TestPunctureCommand:
         assert capsys.readouterr().err == "error: --scheme and --compare exclude each other\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("schemes", ["qup,wqp,qup", "wqp"])
+    def test_compare_needs_two_schemes(self, tmp_path, capsys, schemes):
+        # Not a run that writes the patterns and drops the comparison.
+        out = tmp_path / "p.json"
+        assert run_cli("puncture", "--n", "4", "--q", "3", "--k", "6", "--construction", "bec:0.3",
+                       "--compare", schemes, "--out", str(out)) == 1
+        assert capsys.readouterr().err == \
+            f"error: --compare needs exactly two schemes, got {schemes!r}\n"
+        assert not out.exists()
+
     def test_default_scheme_is_qup(self, capsys):
         assert run_cli("puncture", "--n", "3", "--q", "4") == 0
         assert json.loads(capsys.readouterr().out)["patterns"][0]["scheme"] == "qup"

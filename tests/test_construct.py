@@ -424,6 +424,8 @@ class TestSpecValidation:
         ((), -1, "k must be >= 0, got -1"),
         ((2, 3), 2.0, "k must be an integer, got 2.0"),
         ((2, 3), True, "k must be an integer, got True"),
+        ((True, 3), 2, "index must be an integer, got True"),
+        ((True,), 1, "index must be an integer, got True"),
     ])
     def test_rejected(self, info, k, message):
         with pytest.raises(ValueError, match=message):

@@ -46,6 +46,15 @@ class TestPropagate:
         with pytest.raises(TypeError):
             propagate([2.5], 3)
 
+    @pytest.mark.parametrize("indices", [[True, 2], [2, np.False_], {True}])
+    def test_bool_rejected(self, indices):
+        # Not read as the index 1 or 0.
+        with pytest.raises(TypeError, match="index must be an integer, got"):
+            propagate(indices, 3)
+
+    def test_numpy_integer_indices(self):
+        assert propagate([np.int64(2), np.uint8(3)], 3) == propagate([2, 3], 3)
+
     def test_matches_reference_exhaustively_n3(self):
         for bits in range(1 << 8):
             s = {i for i in range(8) if (bits >> i) & 1}

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarpunct.construct import (
+    PolarCodeSpec,
     bec_bhattacharyya,
     ga_reliability,
     pw_reliability,
@@ -64,6 +65,12 @@ class TestQupPattern:
 
     def test_numpy_integer_q(self):
         assert qup_pattern(3, np.int64(3)) == qup_pattern(3, 3)
+
+    @pytest.mark.parametrize("q", [True, np.True_])
+    def test_bool_q_rejected(self, q):
+        # Not a q = 1 pattern.
+        with pytest.raises(ValueError, match="puncture count q must be an integer"):
+            qup_pattern(3, q)
 
     def test_large_pattern_in_bounded_memory(self):
         # A map that held all n + 1 levels peaked at 869 B per punctured position
@@ -139,6 +146,24 @@ class TestPatternRecord:
         assert list(p.to_json_dict().items()) == list(expected.items())
 
 
+# Each view the codec or channel indexes per batch is built once; every other view
+# is built at each read, so reading one, or writing the JSON, pins no copy of it.
+@pytest.mark.parametrize("make, views, cached", [
+    (lambda: select_information_set(bec_bhattacharyya(4, 0.5), 7),
+     ("size", "info_positions", "frozen_set", "frozen_mask"), {"info_positions", "frozen_mask"}),
+    (lambda: custom_pattern([3, 17, 4], 5),
+     ("q", "size", "transmitted", "pairs", "coded_set", "destination_set", "levels",
+      "kept_positions"), {"kept_positions"}),
+    (lambda: propagate([3, 17, 4], 5), ("pairs", "destination_set", "levels"), set()),
+], ids=["spec", "pattern", "map"])
+def test_only_the_codec_arrays_are_cached(make, views, cached):
+    record = make()
+    for view in views:
+        getattr(record, view)
+    json.dumps(record.to_json_dict())
+    assert set(vars(record)) == {f.name for f in dataclasses.fields(record)} | cached
+
+
 class TestWqpPattern:
     def test_toy_bec_half(self):
         prof = bec_bhattacharyya(3, 0.5)
@@ -166,14 +191,22 @@ class TestWqpPattern:
         with pytest.raises(UnsupportedConfiguration):
             wqp_pattern(spec, prof, 5)
 
-    def test_frozen_set_not_built(self):
+    def test_frozen_set_not_built(self, monkeypatch):
         # At n = 20 and K = N/2 the frozen-set tuple alone holds 26 MB of ints.
         prof = bec_bhattacharyya(3, 0.5)
         spec = select_information_set(prof, 4)
+        monkeypatch.setattr(PolarCodeSpec, "frozen_set",
+                            property(lambda self: pytest.fail("wqp_pattern built the frozen set")))
         wqp_pattern(spec, prof, 4)
         with pytest.raises(UnsupportedConfiguration, match="frozen-set size 4;"):
             wqp_pattern(spec, prof, 5)
-        assert "frozen_set" not in vars(spec)
+
+    @pytest.mark.parametrize("q", [True, np.True_])
+    def test_bool_q_rejected(self, q):
+        prof = bec_bhattacharyya(3, 0.5)
+        spec = select_information_set(prof, 4)
+        with pytest.raises(ValueError, match="puncture count q must be an integer"):
+            wqp_pattern(spec, prof, q)
 
     @pytest.mark.parametrize("q", [2.0, "2"])
     def test_non_integer_q_rejected(self, q):
@@ -249,6 +282,15 @@ class TestCustomPattern:
         with pytest.raises(ValueError, match="flat sequence of integers"):
             custom_pattern(positions, 3)
 
+    @pytest.mark.parametrize("positions", [[True, 4], [4, np.False_], [True]])
+    def test_bool_position_rejected(self, positions):
+        # Not the coded position 1 or 0.
+        with pytest.raises(ValueError, match="flat sequence of integers"):
+            custom_pattern(positions, 3)
+
+    def test_numpy_integer_positions(self):
+        assert custom_pattern([np.int64(1), np.uint8(4)], 3) == custom_pattern([1, 4], 3)
+
 
 class TestMakePattern:
     def test_dispatches_to_each_scheme(self):
@@ -268,6 +310,12 @@ class TestMakePattern:
     def test_rejected(self, args, message):
         with pytest.raises(ValueError, match=message):
             make_pattern(*args)
+
+    @pytest.mark.parametrize("q", [True, np.True_])
+    def test_bool_custom_q_rejected(self, q):
+        # Not taken for the one position given.
+        with pytest.raises(ValueError, match="puncture count q must be an integer"):
+            make_pattern("custom", 3, q, coded_positions=[1])
 
 
 class TestAnalyzePattern:

@@ -608,6 +608,22 @@ class TestEmit:
         with pytest.raises(ValueError, match=r"q must be in \(0, 32\) for qup"):
             load_result(str(path))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("points"), r"missing required result fields: \['points'\]"),
+        (lambda d: d["points"][0].update(stop="max_frames"), r"unknown point fields: \['stop'\]"),
+        (lambda d: d["points"][1].pop("fer"), r"missing required point fields: \['fer'\]"),
+        (lambda d: d.update(notes="x"), r"unknown result fields: \['notes'\]"),
+    ], ids=["no-points", "unknown-point-field", "missing-point-field", "unknown-field"])
+    def test_load_rejects_malformed_file(self, tmp_path, edit, message):
+        # A ValueError naming the key, not a KeyError or a TypeError from a constructor.
+        emit(run_sweep(tiny_cfg(max_frames=100)), str(tmp_path / "out"), formats=("json",))
+        path = tmp_path / "out.json"
+        d = json.loads(path.read_text())
+        edit(d)
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=message):
+            load_result(str(path))
+
     def test_unwritable_path(self):
         res = run_sweep(tiny_cfg(max_frames=100))
         with pytest.raises(OSError):
