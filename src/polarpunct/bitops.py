@@ -5,11 +5,13 @@ width ``n`` when it lies in ``[0, 2**n)``, and width 0 is the N = 1 code.
 Bit 1 of an expansion is the most significant bit, bit ``n`` the least
 significant. Array functions take ``n`` shift-and-mask steps over the given
 indices and build no ``2**n`` table, so every admitted width is cheap.
+
+This module is the one reader of index sets: :func:`index_set` reads a flat set
+once into an ascending int64 array, and a bad entry or shape raises ``ValueError``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from functools import lru_cache
 
 import numpy as np
@@ -30,37 +32,40 @@ def check_ints(**counts) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _is_integer_type(kind: type) -> bool:
-    return issubclass(kind, (int, np.integer)) and kind is not bool
-
-
-def integer_list(values: Iterable) -> list:
-    """``values`` as a list; ``TypeError`` names the first that is not an integer.
-
-    A bool is not one, though ``operator.index`` and numpy read it as 0 or 1. The
-    entries' types are checked, and the entries themselves only when one fails.
-    """
-    values = list(values)
-    if not all(map(_is_integer_type, set(map(type, values)))):
-        bad = next(v for v in values if not _is_integer_type(type(v)))
-        raise TypeError(f"index must be an integer, got {bad!r}")
-    return values
+def is_integer(value) -> bool:
+    """True for an ``int`` or a numpy integer, never for a bool (which numpy reads as 0 or 1)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_index(i, n: int) -> np.ndarray:
     """``i`` (an int or integer array) as int64, each entry checked against width ``n``."""
     check_width(n)
+    if not (isinstance(i, np.ndarray) and i.dtype.kind in "iu"):
+        # Entries are read in their own types, so no float or bool passes as a whole number:
+        # one entry of each type is tested, and the first bad one is sought only on failure.
+        entries = np.asarray(i, dtype=object).ravel()
+        if not all(map(is_integer, dict(zip(map(type, entries), entries)).values())):
+            bad = next(v for v in entries if not is_integer(v))
+            raise ValueError(f"index must be an integer, got {bad!r}")
     idx = np.asarray(i)
-    if idx.dtype.kind not in "iu" or not isinstance(i, np.ndarray):
-        # Entries are read in their own types, so no float or bool passes as a whole number.
-        try:
-            integer_list(np.asarray(i, dtype=object).ravel())
-        except TypeError as exc:
-            raise ValueError(str(exc)) from None
     outside = (idx < 0) | (idx >= 1 << n)
     if outside.any():
         raise ValueError(f"index {idx[outside].flat[0]} out of range [0, {1 << n}) for width {n}")
     return idx.astype(np.int64)
+
+
+def index_set(values, n: int) -> np.ndarray:
+    """The distinct entries of ``values``, a flat integer array or iterable, ascending as int64;
+    ``ValueError`` names a bad entry (see :func:`check_index`) or a non-flat ``values``."""
+    try:
+        entries = values if isinstance(values, np.ndarray) else list(values)
+    except TypeError:
+        entries = None
+    idx = None if entries is None else check_index(entries, n)
+    if idx is None or idx.ndim != 1:
+        raise ValueError(f"indices must be a flat sequence of integers, got {values!r}")
+    idx = np.sort(idx)
+    return idx[np.diff(idx, prepend=-1) != 0]  # a neighbour compare; -1 precedes every index
 
 
 def bit_reverse(i, n: int):
@@ -73,7 +78,7 @@ def bit_reverse(i, n: int):
     r = np.zeros_like(idx)
     for b in range(n):
         r |= ((idx >> b) & 1) << (n - 1 - b)
-    return r if np.ndim(i) else int(r)
+    return r if r.ndim else int(r)
 
 
 @lru_cache(maxsize=32)

@@ -471,7 +471,7 @@ def select_information_set(profile: ReliabilityProfile, count: int,
         raise ValueError(f"count must be in [1, {N}], got {count}")
     if count <= crc_bits:
         raise ValueError("count must exceed crc_bits")
-    info = tuple(np.sort(profile.best_first()[:count]).tolist())
+    info = np.sort(profile.best_first()[:count])
     params = ",".join(f"{k}={v:g}" for k, v in profile.params.items())
     return PolarCodeSpec(
         n=profile.n, k=count - crc_bits, crc_bits=crc_bits, info_set=info,

@@ -18,13 +18,12 @@ information (zero LLR at the decoder).
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bitops import bit_reverse, check_index, integer_list
+from .bitops import bit_reverse, index_set
 
 
 @dataclass(frozen=True)
@@ -63,15 +62,15 @@ class PropagationMap:
         }
 
 
-def _walk(sources: tuple[int, ...], n: int) -> Iterator[np.ndarray]:
-    """Positions of the ascending ``sources`` before the first level and after each.
+def _walk(sources, n: int) -> Iterator[np.ndarray]:
+    """Positions of the ascending int64 ``sources`` before the first level and after each.
 
     Each level is one array step: a position keeps its place when its pair
     partner is occupied and clears bit ``k`` otherwise. Occupancy is found
     by binary search in the sorted positions, so no buffer of ``2**n``
     entries is needed at any admitted width.
     """
-    position = np.array(sources, dtype=np.int64)
+    position = np.asarray(sources, dtype=np.int64)
     yield position
     for k in range(1, n + 1):
         bit = 1 << (n - k)
@@ -85,19 +84,19 @@ def _walk(sources: tuple[int, ...], n: int) -> Iterator[np.ndarray]:
 def propagate(indices: Iterable[int], n: int) -> PropagationMap:
     """Run the degradation process on a level-0 index set of width ``n``.
 
-    Only the sources and their destinations are kept; see :func:`_walk`.
+    ``indices`` is read once by :func:`polarpunct.bitops.index_set`, which raises ``ValueError``
+    on bad input; only the sources and their destinations are kept (see :func:`_walk`).
     """
-    sources = tuple(sorted(set(map(operator.index, integer_list(indices)))))
-    check_index(sources[:1] + sources[-1:], n)  # ascending: its two ends bound the rest
+    sources = index_set(indices, n)
     for position in _walk(sources, n):
         pass
-    return PropagationMap(n=n, sources=sources, targets=tuple(position.tolist()))
+    return PropagationMap(n=n, sources=tuple(sources.tolist()), targets=tuple(position.tolist()))
 
 
 def punctured_bit_channels(coded_positions: Iterable[int], n: int) -> frozenset[int]:
     """Bit channels punctured when the given coded-symbol positions are dropped.
 
-    Convenience wrapper: bit-reverses the coded positions into the source
-    domain, then propagates.
+    Convenience wrapper: reads the coded positions once as for :func:`propagate`,
+    bit-reverses them into the source domain, then propagates.
     """
-    return frozenset(propagate(bit_reverse(list(coded_positions), n), n).targets)
+    return frozenset(propagate(bit_reverse(index_set(coded_positions, n), n), n).targets)

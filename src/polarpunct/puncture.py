@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bitops import bit_reverse, integer_list
+from .bitops import bit_reverse, check_width, index_set, is_integer
 from .construct import PolarCodeSpec, ReliabilityProfile
 from .degrade import PropagationMap, propagate
 
@@ -66,12 +66,12 @@ class PuncturePattern(PropagationMap):
 
     @property
     def coded_set(self) -> tuple[int, ...]:
-        return tuple(np.sort(bit_reverse(self.sources, self.n)).tolist())
+        return tuple(np.sort(bit_reverse(np.array(self.sources, dtype=np.int64), self.n)).tolist())
 
     @cached_property
     def kept_positions(self) -> np.ndarray:
         keep = np.ones(self.size, dtype=bool)
-        keep[bit_reverse(self.sources, self.n)] = False
+        keep[bit_reverse(np.array(self.sources, dtype=np.int64), self.n)] = False
         kept = np.flatnonzero(keep)
         kept.setflags(write=False)
         return kept
@@ -128,19 +128,19 @@ def _pattern_from_source(source: Iterable[int], n: int, scheme: str) -> Puncture
 
 
 def _puncture_count(q) -> int:
-    try:
-        return operator.index(*integer_list((q,)))
-    except TypeError:
-        raise ValueError(f"puncture count q must be an integer, got {q!r}") from None
+    if not is_integer(q):
+        raise ValueError(f"puncture count q must be an integer, got {q!r}")
+    return int(q)
 
 
 def qup_pattern(n: int, q: int) -> PuncturePattern:
     """Quasi-uniform pattern: source {0, ..., q-1}, coded symbols bit-reversed."""
+    check_width(n)
     q = _puncture_count(q)
     N = 1 << n
     if not 0 < q < N:
         raise ValueError(f"puncture count must be in (0, {N}), got {q}")
-    return _pattern_from_source(range(q), n, QUP)
+    return _pattern_from_source(np.arange(q), n, QUP)
 
 
 def wqp_pattern(spec: PolarCodeSpec, profile: ReliabilityProfile, q: int) -> PuncturePattern:
@@ -165,22 +165,17 @@ def wqp_pattern(spec: PolarCodeSpec, profile: ReliabilityProfile, q: int) -> Pun
             f"q={q} exceeds the frozen-set size {frozen}; "
             "puncturing beyond N - (k + crc_bits) is not supported")
     order = profile.worst_first()
-    return _pattern_from_source(order[spec.frozen_mask[order]][:q].tolist(), spec.n, WQP)
+    return _pattern_from_source(order[spec.frozen_mask[order]][:q], spec.n, WQP)
 
 
 def custom_pattern(coded_positions: Iterable[int], n: int) -> PuncturePattern:
     """Pattern from explicit coded-symbol positions (what a radio drops).
 
-    Converted internally to the bit-channel domain via bit reversal. An
-    empty position set yields the trivial q = 0 pattern. Input that is not
-    a flat sequence of integers raises ``ValueError`` naming it.
+    The positions are read once by :func:`polarpunct.bitops.index_set`, which drops
+    duplicates and raises ``ValueError`` naming a bad input, and bit-reversed into the
+    bit-channel domain. An empty position set yields the trivial q = 0 pattern.
     """
-    try:
-        positions = sorted(set(map(operator.index, integer_list(coded_positions))))
-    except TypeError:
-        raise ValueError("custom coded positions must be a flat sequence of integers, "
-                         f"got {coded_positions!r}") from None
-    source = bit_reverse(positions, n)
+    source = bit_reverse(index_set(coded_positions, n), n)
     if source.size >= 1 << n:
         raise ValueError("cannot puncture every coded symbol")
     return _pattern_from_source(source, n, CUSTOM)

@@ -110,9 +110,8 @@ class SimConfig:
         if self.puncturing == puncture.CUSTOM:
             if self.custom_coded is None:
                 raise ValueError("custom puncturing needs coded positions")
-            # The range rule of the pattern build, without its propagation.
-            bitops.check_index(self.custom_coded, self.n)
-            distinct = len(set(self.custom_coded))
+            # The reading rule of the pattern build, without its propagation.
+            distinct = len(bitops.index_set(self.custom_coded, self.n))
             if self.q == 0:  # omitted: the positions give it
                 object.__setattr__(self, "q", distinct)
             if self.q != distinct:

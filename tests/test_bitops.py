@@ -2,9 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polarpunct.bitops import bit_reverse, covers, popcount
-from polarpunct.degrade import propagate
+from polarpunct.bitops import bit_reverse, covers, index_set, popcount
+from polarpunct.degrade import propagate, punctured_bit_channels
+from polarpunct.puncture import custom_pattern
+from polarpunct.sim import SimConfig
 
 from oracles import bit_reverse_str
 
@@ -153,3 +157,47 @@ class TestCovers:
     def test_mixed_width_rejected(self):
         with pytest.raises(ValueError):
             covers(9, 1, 3)
+
+
+@st.composite
+def _index_input(draw):
+    """A width n <= 6 and an index set for it: flat, with bad entries, nested or bare."""
+    n = draw(st.integers(1, 6))
+    index = st.integers(-2, (1 << n) + 1)
+    good = st.one_of(index, index.map(np.int64), st.integers(0, (1 << n) + 1).map(np.uint8))
+    bad = st.one_of(st.booleans(), st.booleans().map(np.bool_), index.map(float), st.floats(),
+                    st.text(max_size=2), st.none())
+    xs = draw(st.one_of(
+        st.lists(good, max_size=12), st.lists(good, max_size=12),
+        st.lists(st.one_of(good, bad), max_size=6),
+        st.lists(st.lists(index, max_size=2), max_size=3), st.sets(index, max_size=6),
+        st.builds(range, index, index), index))
+    return n, xs
+
+
+def _outcome(f, *args, **kwargs):
+    """What ``f`` returns, or the ``ValueError`` it raises; any other error escapes."""
+    try:
+        return f(*args, **kwargs)
+    except ValueError as exc:
+        return exc
+
+
+class TestIndexEntryPoints:
+    # Every reader of an index or position set reads it through bitops.index_set.
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(_index_input())
+    def test_entry_points_agree(self, case):
+        n, xs = case
+        read = _outcome(index_set, xs, n)
+        pmap = _outcome(propagate, xs, n)
+        assert isinstance(pmap, ValueError) == isinstance(read, ValueError)
+        _outcome(bit_reverse, xs, n)
+        _outcome(SimConfig, n=n, k=1, puncturing="custom", custom_coded=xs, sweep=(1.0,))
+        punctured = _outcome(punctured_bit_channels, xs, n)
+        pattern = _outcome(custom_pattern, xs, n)
+        if isinstance(read, ValueError):
+            return
+        assert pmap.sources == tuple(sorted(set(xs)))
+        if len(pmap.sources) < 1 << n:
+            assert pattern.destination_set == tuple(sorted(punctured))

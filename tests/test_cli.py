@@ -125,6 +125,10 @@ class TestPunctureCommand:
         assert cmp_["quality_loss_delta"] >= 0
         assert cmp_["union_bound_delta"] >= 0
 
+    def test_negative_width(self, capsys):
+        assert run_cli("puncture", "--n", "-1", "--q", "1") == 1
+        assert capsys.readouterr().err == "error: width must be an integer in [0, 32], got -1\n"
+
     def test_custom_needs_file(self, capsys):
         assert run_cli("puncture", "--n", "3", "--q", "2", "--scheme", "custom") == 1
 

@@ -451,6 +451,14 @@ class TestSpecValidation:
         assert [type(i) for i in spec.info_set] == [int, int]
         assert json.loads(json.dumps(spec.to_json_dict()))["I"] == [6, 7]
 
+    def test_int64_array_info_set(self):
+        # The array select_information_set hands on builds the same spec as a tuple.
+        spec = PolarCodeSpec(n=3, k=2, crc_bits=0, info_set=np.array([6, 7], dtype=np.int64),
+                             construction="x")
+        expected = PolarCodeSpec(n=3, k=2, crc_bits=0, info_set=(6, 7), construction="x")
+        assert spec == expected and hash(spec) == hash(expected)
+        assert json.dumps(spec.to_json_dict()) == json.dumps(expected.to_json_dict())
+
 
 class TestCodeWidthLimit:
     @pytest.mark.parametrize("build", [lambda n: bec_bhattacharyya(n, 0.5),

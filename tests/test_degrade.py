@@ -43,17 +43,20 @@ class TestPropagate:
 
     def test_non_integer_rejected(self):
         # a float would otherwise be truncated silently by the array step
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="index must be an integer, got 2.5"):
             propagate([2.5], 3)
 
-    @pytest.mark.parametrize("indices", [[True, 2], [2, np.False_], {True}])
+    @pytest.mark.parametrize("indices", [[True, 2], [2, np.False_], {True},
+                                         np.array([True, False])])
     def test_bool_rejected(self, indices):
         # Not read as the index 1 or 0.
-        with pytest.raises(TypeError, match="index must be an integer, got"):
+        with pytest.raises(ValueError, match="index must be an integer, got"):
             propagate(indices, 3)
 
     def test_numpy_integer_indices(self):
         assert propagate([np.int64(2), np.uint8(3)], 3) == propagate([2, 3], 3)
+        for dtype in (np.int64, np.uint8):
+            assert propagate(np.array([3, 2, 3], dtype=dtype), 3) == propagate([2, 3], 3)
 
     def test_matches_reference_exhaustively_n3(self):
         for bits in range(1 << 8):

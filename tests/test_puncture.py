@@ -58,6 +58,12 @@ class TestQupPattern:
         with pytest.raises(ValueError):
             qup_pattern(3, 8)
 
+    @pytest.mark.parametrize("n, q", [(-1, 1), (3.0, 2), (True, 1)])
+    def test_width_checked_first(self, n, q):
+        # Before 1 << n, which raises its own error (or none) for these widths.
+        with pytest.raises(ValueError, match=rf"width must be an integer in \[0, 32\], got {n!r}"):
+            qup_pattern(n, q)
+
     @pytest.mark.parametrize("q", [3.0, "3"])
     def test_non_integer_q_rejected(self, q):
         with pytest.raises(ValueError, match="puncture count q must be an integer"):
@@ -276,20 +282,25 @@ class TestCustomPattern:
         with pytest.raises(ValueError):
             custom_pattern(range(8), 3)
 
-    # Nested tuples are hashable, so they pass set() and must be refused by their items.
+    # Nested tuples are refused by their shape, as nested lists are; a string by its entry.
     @pytest.mark.parametrize("positions", [5, [[1]], [1, "a"], ((1,),), ((1, 2),)])
     def test_not_a_flat_integer_sequence(self, positions):
-        with pytest.raises(ValueError, match="flat sequence of integers"):
+        message = ("index must be an integer, got 'a'" if positions == [1, "a"]
+                   else "flat sequence of integers")
+        with pytest.raises(ValueError, match=message):
             custom_pattern(positions, 3)
 
-    @pytest.mark.parametrize("positions", [[True, 4], [4, np.False_], [True]])
+    @pytest.mark.parametrize("positions", [[True, 4], [4, np.False_], [True],
+                                           np.array([True, False])])
     def test_bool_position_rejected(self, positions):
         # Not the coded position 1 or 0.
-        with pytest.raises(ValueError, match="flat sequence of integers"):
+        with pytest.raises(ValueError, match="index must be an integer, got"):
             custom_pattern(positions, 3)
 
     def test_numpy_integer_positions(self):
         assert custom_pattern([np.int64(1), np.uint8(4)], 3) == custom_pattern([1, 4], 3)
+        for dtype in (np.int64, np.uint8):
+            assert custom_pattern(np.array([4, 1, 4], dtype=dtype), 3) == custom_pattern([1, 4], 3)
 
 
 class TestMakePattern:
