@@ -40,14 +40,19 @@ def is_integer(value) -> bool:
 def check_index(i, n: int) -> np.ndarray:
     """``i`` (an int or integer array) as int64, each entry checked against width ``n``."""
     check_width(n)
+    idx = i
     if not (isinstance(i, np.ndarray) and i.dtype.kind in "iu"):
         # Entries are read in their own types, so no float or bool passes as a whole number:
         # one entry of each type is tested, and the first bad one is sought only on failure.
-        entries = np.asarray(i, dtype=object).ravel()
+        objects = np.asarray(i, dtype=object)
+        entries = objects.ravel()
         if not all(map(is_integer, dict(zip(map(type, entries), entries)).values())):
             bad = next(v for v in entries if not is_integer(v))
             raise ValueError(f"index must be an integer, got {bad!r}")
-    idx = np.asarray(i)
+        try:
+            idx = objects.astype(np.int64)  # exact, never through float64
+        except OverflowError:  # an entry beyond int64: find the first out of range as an int
+            idx = entries
     outside = (idx < 0) | (idx >= 1 << n)
     if outside.any():
         raise ValueError(f"index {idx[outside].flat[0]} out of range [0, {1 << n}) for width {n}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, default_rng
 
-from .codec import LLR_SATURATION, check_length
+from .codec import LLR_SATURATION, check_length, frame_major, position_major
 from .puncture import PuncturePattern
 
 AWGN = "awgn"
@@ -107,15 +107,12 @@ def transmit(bits, cfg: ChannelConfig, rng) -> np.ndarray:
 def depuncture_rx(rx_llr, pattern: PuncturePattern) -> np.ndarray:
     """Insert LLR 0 at the pattern's coded positions, restoring length N.
 
-    The result is filled position-major, one row per kept position, and
-    returned in the caller's ``(..., N)`` shape: a transposed view for a
-    batch of at most one axis, so a decoder's gather of positions reads
-    whole contiguous rows."""
+    The result is filled through :func:`~polarpunct.codec.position_major`,
+    one row per kept position, and returned through
+    :func:`~polarpunct.codec.frame_major`, so a decoder reads it without a copy."""
     rx_llr = np.asarray(rx_llr, dtype=np.float64)
     check_length(rx_llr, "received", pattern.transmitted, "N - Q")
-    batch_shape = rx_llr.shape[:-1]
-    # Explicit, not -1: a reshape cannot infer a dimension of an empty batch.
-    frames = math.prod(batch_shape)
-    out = np.zeros((pattern.size, frames))
-    out[pattern.kept_positions] = rx_llr.reshape(frames, pattern.transmitted).T
-    return out.T.reshape(batch_shape + (pattern.size,))
+    v, batch_shape = position_major(rx_llr)
+    out = np.zeros((pattern.size, v.shape[1]))
+    out[pattern.kept_positions] = v
+    return frame_major(out, batch_shape)

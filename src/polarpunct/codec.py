@@ -35,7 +35,9 @@ Conventions (fixed so results are bit-exact reproducible):
   their buffers (position, frame[, path]), so the two halves of a tree
   node, ``x[:half]`` and ``x[half:]``, are each one contiguous block and
   every node step is one vector operation over all frames. Inputs and
-  outputs keep the caller's (..., N) shape.
+  outputs keep the caller's (..., N) shape: ``position_major`` and
+  ``frame_major`` are the one conversion between the two layouts, here
+  and in :func:`polarpunct.channel.depuncture_rx`.
 * The decoders read the caller's LLRs in place, as a position-major
   ``(N, B)`` view in coded order (no copy for ``depuncture_rx``'s output),
   and make no copy of them in decoding-tree (bit-reversed) order. Every
@@ -51,7 +53,6 @@ Conventions (fixed so results are bit-exact reproducible):
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from functools import lru_cache
 
@@ -133,21 +134,15 @@ def _butterfly(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _butterflies(u) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The butterfly transform of ``u`` as a position-major ``(N, frames)``
-    uint8 array, and the batch shape of ``u``."""
-    u = np.asarray(u)
-    _check_block(u)
-    N = u.shape[-1]
-    batch_shape = u.shape[:-1]
-    # Explicit, not -1: a reshape cannot infer a dimension of an empty batch.
-    frames = math.prod(batch_shape)
-    x = u.reshape(frames, N).T.astype(np.uint8, order="C")
-    x &= 1
-    return _butterfly(x), batch_shape
+def position_major(x: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """A ``(..., N)`` array as position-major ``(N, frames)``, and its batch shape.
+
+    A transposed view, not a copy, when the batch axes merge into one, as
+    they do for the output of :func:`frame_major`."""
+    return x.reshape(-1, x.shape[-1]).T, x.shape[:-1]
 
 
-def _frame_major(x: np.ndarray, batch_shape: tuple[int, ...]) -> np.ndarray:
+def frame_major(x: np.ndarray, batch_shape: tuple[int, ...]) -> np.ndarray:
     """A position-major ``(N, frames)`` array in the caller's ``(..., N)`` shape.
 
     A transposed view, not a copy, for a batch of at most one axis: a
@@ -161,9 +156,12 @@ def encode(u) -> np.ndarray:
 
     An involution: ``encode(encode(u)) == u``.
     """
-    x, batch_shape = _butterflies(u)
-    n = x.shape[0].bit_length() - 1
-    return _frame_major(x[bit_reversal_permutation(n)], batch_shape)
+    u = np.asarray(u)
+    n = _check_block(u)
+    v, batch_shape = position_major(u)
+    x = v.astype(np.uint8, order="C")
+    x &= 1
+    return frame_major(_butterfly(x)[bit_reversal_permutation(n)], batch_shape)
 
 
 def check_length(x: np.ndarray, what: str, want: int, name: str) -> None:
@@ -240,16 +238,14 @@ def _step(kernel, node: np.ndarray, rows: np.ndarray | None, *rest: np.ndarray) 
 
 # --------------------------------------------------------------------------- SC
 
-def _coded_rows(llr, spec: PolarCodeSpec) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Channel LLRs as a float64 position-major ``(N, B)`` array in coded order,
-    the root's ``rows`` for :func:`_step`, and the batch shape the decoded
-    output takes back. No copy of a float64 ``llr`` whose batch axes merge
-    into one, such as a C-contiguous batch or ``depuncture_rx``'s output: a
-    transposed view of it."""
+def _coded_rows(llr, spec: PolarCodeSpec) -> tuple[tuple[np.ndarray, tuple[int, ...]], np.ndarray]:
+    """The float64 channel LLRs through :func:`position_major`, in coded order,
+    and the root's ``rows`` for :func:`_step`. No copy of a float64 ``llr``
+    whose batch axes merge into one, such as a C-contiguous batch or
+    ``depuncture_rx``'s output."""
     llr = np.asarray(llr, dtype=np.float64)
     check_length(llr, "LLR", spec.size, "N")
-    rows = bit_reversal_permutation(spec.n)[: spec.size // 2]
-    return llr.reshape(-1, spec.size).T, rows, llr.shape[:-1]
+    return position_major(llr), bit_reversal_permutation(spec.n)[: spec.size // 2]
 
 
 def sc_decode(llr, spec: PolarCodeSpec) -> np.ndarray:
@@ -278,7 +274,7 @@ def sc_decode(llr, spec: PolarCodeSpec) -> np.ndarray:
     Every node array below the root is position-major ``(m, B)`` in tree
     order; the root reads ``llr`` in coded order (see :func:`_step`).
     """
-    v, rows, batch_shape = _coded_rows(llr, spec)
+    (v, batch_shape), rows = _coded_rows(llr, spec)
     info = spec.info_set
 
     def rec(node: np.ndarray, rows: np.ndarray | None, lo: int, first: int,
@@ -304,7 +300,7 @@ def sc_decode(llr, spec: PolarCodeSpec) -> np.ndarray:
         x = rec(v, rows, 0, 0, len(info))
     else:
         x = np.zeros(v.shape, dtype=np.uint8)
-    return _frame_major(_butterfly(x), batch_shape)
+    return frame_major(_butterfly(x), batch_shape)
 
 
 # --------------------------------------------------------------------------- SCL
@@ -347,7 +343,7 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int) -> np.ndarray:
     check_ints(list_size=list_size)
     if list_size < 1:
         raise ValueError(f"list size must be >= 1, got {list_size}")
-    v, rows, batch_shape = _coded_rows(llr, spec)
+    (v, batch_shape), rows = _coded_rows(llr, spec)
     B, L = v.shape[1], list_size
     frozen = spec.frozen_mask
     pm = np.full((B, L), np.inf)
@@ -398,4 +394,4 @@ def scl_decode(llr, spec: PolarCodeSpec, list_size: int) -> np.ndarray:
           else np.ones(pm.shape, dtype=bool))
     # CRC-valid paths first, then the lowest metric; the stable sort ties to the lower path.
     best = np.lexsort((pm, ~ok))[:, 0]
-    return _frame_major(u[:, np.arange(B), best], batch_shape)
+    return frame_major(u[:, np.arange(B), best], batch_shape)

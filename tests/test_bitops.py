@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarpunct.bitops import bit_reverse, covers, index_set, popcount
+from polarpunct.bitops import bit_reverse, check_index, covers, index_set, popcount
 from polarpunct.degrade import propagate, punctured_bit_channels
 from polarpunct.puncture import custom_pattern
 from polarpunct.sim import SimConfig
@@ -80,6 +80,20 @@ class TestBitReverse:
     def test_array_index_out_of_width(self, bad):
         with pytest.raises(ValueError, match="out of range"):
             bit_reverse(bad, 3)
+
+
+    @pytest.mark.parametrize("bad, shown", [
+        ([-1, 2**63], -1), ([5, 2**63], 2**63), ([np.uint64(2**64 - 1), 3], 2**64 - 1),
+        (np.uint64(2**63), 2**63), (np.array([3, 2**63], dtype=np.uint64), 2**63)])
+    def test_out_of_range_entry_named_exactly(self, bad, shown):
+        # A list is read as int64, never through float64, which would print -1.0 or 9.2e+18.
+        with pytest.raises(ValueError, match=rf"^index {shown} out of range") as exc:
+            check_index(bad, 3)
+        assert "." not in str(exc.value) and "e+" not in str(exc.value)
+
+    def test_mixed_numpy_integer_list_read_exactly(self):
+        idx = check_index([np.uint64(5), np.int64(3)], 3)
+        assert idx.dtype == np.int64 and idx.tolist() == [5, 3]
 
 
 class TestEdgeWidths:

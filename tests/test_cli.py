@@ -500,6 +500,18 @@ class TestCompareCommand:
         assert "coffee" in capsys.readouterr().err
         assert started == []
 
+    def test_different_sweeps_rejected_before_any_sweep(self, tmp_path, monkeypatch, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"n": 4, "k": 6, "sweep": [2.0], "max_frames": 50}))
+        b.write_text(json.dumps({"n": 4, "k": 6, "sweep": [3.0], "max_frames": 50}))
+        started = []
+        monkeypatch.setattr(sim, "run_sweep", lambda cfg, workers=1: started.append(cfg))
+        assert run_cli("compare", "--config-a", str(a), "--config-b", str(b),
+                       "--out", str(tmp_path / "joint")) == 1
+        assert capsys.readouterr().err == (
+            "error: the two configs must share the same sweep for a joint report\n")
+        assert started == []
+
     def test_custom_position_outside_block_rejected_before_any_sweep(self, tmp_path, monkeypatch,
                                                                      capsys):
         a = tmp_path / "a.json"

@@ -199,6 +199,11 @@ class TestCrc:
             bits = rng.integers(0, 2, int(rng.integers(1, 60)), dtype=np.uint8)
             assert crc_check(crc_append(bits, poly), poly)
 
+    @pytest.mark.parametrize("bits", [[], np.zeros((3, 0), dtype=np.uint8), 1])
+    def test_append_needs_an_information_bit(self, bits):
+        with pytest.raises(ValueError, match="need at least one information bit"):
+            crc_append(bits, 8)
+
     @_EACH_WIDTH
     def test_detects_every_single_bit_flip(self, poly):
         rng = np.random.default_rng(7)

@@ -208,6 +208,10 @@ class TestGaMatchesScipy:
         with pytest.raises(ValueError, match="mean must be >= 0"):
             _ln_phi_array(np.array([1.0, -1e-300]))
 
+    def test_ln_phi_rejects_a_negative_mean(self):
+        with pytest.raises(ValueError, match="mean must be >= 0"):
+            _ln_phi(-1.0)
+
     def test_quotient_raises_where_python_does(self):
         assert _quotient(np.array([1.0, -3e-300]), np.array([4.0, 5e-324])).tolist() == [
             1.0 / 4.0, -3e-300 / 5e-324]
@@ -364,6 +368,10 @@ class TestSelectInformationSet:
                                                        f"got {kwargs[name]!r}")):
             select_information_set(bec_bhattacharyya(4, 0.5), **kwargs)
 
+    def test_count_must_exceed_crc_bits(self):
+        with pytest.raises(ValueError, match="count must exceed crc_bits"):
+            select_information_set(bec_bhattacharyya(3, 0.5), 8, crc_bits=8)
+
     def test_degenerate_ties_keep_info_set_upward_closed(self):
         # erasure probability 0 makes every metric equal; the selection must
         # still never freeze a channel that covers a selected one
@@ -411,6 +419,16 @@ class TestSpecArrays:
                 assert spec.frozen_set == tuple(sorted(set(range(N)) - info))
                 with pytest.raises(ValueError):
                     mask[0] = True
+
+
+class TestProfileValidation:
+    @pytest.mark.parametrize("method, length, message", [
+        ("quantized", 8, "unknown construction method 'quantized'"),
+        (GA, 4, r"metric length must be 2\*\*n"),
+    ])
+    def test_rejected(self, method, length, message):
+        with pytest.raises(ValueError, match=message):
+            ReliabilityProfile(n=3, method=method, params={}, metric=np.zeros(length))
 
 
 class TestSpecValidation:

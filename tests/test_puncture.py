@@ -221,6 +221,16 @@ class TestWqpPattern:
         with pytest.raises(ValueError, match="puncture count q must be an integer"):
             wqp_pattern(spec, prof, q)
 
+    @pytest.mark.parametrize("profile_n, q, message", [
+        (4, 2, "spec and profile widths differ"),
+        (3, 0, "puncture count must be positive, got 0"),
+        (3, -1, "puncture count must be positive, got -1"),
+    ])
+    def test_rejected(self, profile_n, q, message):
+        spec = select_information_set(bec_bhattacharyya(3, 0.5), 4)
+        with pytest.raises(ValueError, match=message):
+            wqp_pattern(spec, bec_bhattacharyya(profile_n, 0.5), q)
+
     def test_numpy_integer_q(self):
         prof = bec_bhattacharyya(3, 0.5)
         spec = select_information_set(prof, 4)
@@ -388,6 +398,10 @@ class TestAnalyzePattern:
                 per_bit = [float(0.5 - pb[d]) for _, d in p.pairs]
                 assert [x.hex() for x in rep.per_bit_loss] == [x.hex() for x in per_bit]
                 assert rep.quality_loss.hex() == float(sum(per_bit)).hex()
+
+    def test_widths_must_agree(self):
+        with pytest.raises(ValueError, match="pattern, spec and profile widths differ"):
+            analyze_pattern(qup_pattern(4, 2), self.spec, self.prof)
 
     def test_pw_profile_rejected(self):
         prof = pw_reliability(3)

@@ -56,6 +56,7 @@ INVALID = [
     dict(puncturing="custom", q=1, custom_coded=(-1,)),  # negative position
     dict(puncturing="custom", q=0, custom_coded=(0, 32)),  # q derived only after the range check
     dict(puncturing="custom", q=0, custom_coded=tuple(range(32))),  # every symbol punctured
+    dict(decoder="scl", list_size=0),
 ]
 
 
@@ -622,6 +623,12 @@ class TestEmit:
         edit(d)
         path.write_text(json.dumps(d))
         with pytest.raises(ValueError, match=message):
+            load_result(str(path))
+
+    def test_load_rejects_a_list(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError, match=r"a result must be a JSON object, got \[\]"):
             load_result(str(path))
 
     def test_unwritable_path(self):
